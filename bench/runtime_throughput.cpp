@@ -201,10 +201,10 @@ void BM_LiveSatisfiedThroughput(benchmark::State& state) {
   const auto workers = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
   const auto g = graph::make_ring(kNodes);
-  LiveOptions live;
-  live.workers = workers;
-  live.batch_size = batch;
-  LiveDirectory dir(g, {.policy = proto::PolicyKind::kIvy, .seed = 7}, live);
+  LiveDirectory dir(g, {.policy = proto::PolicyKind::kIvy,
+                        .seed = 7,
+                        .workers = workers,
+                        .batch_size = batch});
   for (auto _ : state) {
     for (NodeId v = 0; v < kNodes; v += 4) dir.acquire(v);
     if (!dir.drain(std::chrono::milliseconds(60'000))) {
@@ -239,7 +239,11 @@ void BM_ActorRuntimeRound(benchmark::State& state) {
   for (auto _ : state) {
     const auto v = static_cast<NodeId>(rng.next_below(8));
     system.request(v);
-    system.wait_for_satisfied(++satisfied);
+    if (!system.wait_for_satisfied_for(++satisfied,
+                                       std::chrono::milliseconds(60'000))) {
+      state.SkipWithError("liveness: request was not satisfied");
+      break;
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -6,7 +6,7 @@
 // reorder spikes, link latency storms, node ingress pauses and token-holder
 // stalls - and a RetryPolicy declares how the transport wins liveness back
 // (capped exponential-backoff retransmission, the standard ARQ recovery).
-// Both are plain aggregates so DirectoryOptions can designated-initialize
+// Both are plain aggregates so arvy::Options can designated-initialize
 // them: `{.faults = {.drop_find = 0.1}, .retry = {.rto = 4.0}}`.
 //
 // The layer sits below proto on purpose: it knows message *kinds*, not

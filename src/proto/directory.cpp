@@ -52,7 +52,7 @@ proto::InitialConfig resolve_initial_config(const graph::Graph& g,
              : default_initial_config(g, options.policy);
 }
 
-Directory::Directory(const graph::Graph& g, DirectoryOptions options) {
+Directory::Directory(const graph::Graph& g, Options options) {
   const auto policy = resolve_policy(options);
   const proto::InitialConfig init = resolve_initial_config(g, options);
   proto::SimEngine::Options engine_options;

@@ -102,7 +102,7 @@ class Directory final : public AnyDirectory {
   using SatisfiedObserver = std::function<void(const proto::RequestRecord&)>;
   using EventObserver = std::function<void(const Directory&)>;
 
-  explicit Directory(const graph::Graph& g, DirectoryOptions options = {});
+  explicit Directory(const graph::Graph& g, Options options = {});
 
   // --- AnyDirectory ---------------------------------------------------------
   [[nodiscard]] std::size_t node_count() const override;

@@ -1,18 +1,13 @@
 // The one composable options surface for every directory facade.
 //
-// Directory (sim), LiveDirectory (threaded) and DirectoryService (sharded
-// multi-object) all accept the same `arvy::Options` aggregate; each facade
-// reads the fields meaningful for its transport and ignores the rest. The
-// historical per-facade structs survive as thin aliases for one release:
-//
-//   using DirectoryOptions = Options;          // since PR 10
-//   using LiveOptions = Options;               // since PR 10
-//   namespace runtime { using ActorOptions = arvy::Options; }
+// Directory (sim), LiveDirectory (threaded), DirectoryService (sharded
+// multi-object) and runtime::ActorSystem all accept the same `arvy::Options`
+// aggregate; each reads the fields meaningful for its transport and ignores
+// the rest. There are no per-facade option types.
 //
 // Field guide (all designated-init friendly; order matters for designated
-// initializers, so protocol fields keep their historical DirectoryOptions
-// order and the transport knobs are appended after them - every pre-PR-10
-// initializer keeps compiling unchanged):
+// initializers, so the protocol fields come first and the threaded
+// transport knobs after them):
 //   .policy      NewParent policy (Arrow, Ivy, ring bridge, ...).
 //   .kback_k     k for PolicyKind::kKBack only.
 //   .discipline  sim-only: delivery order (timed / fifo / lifo / random).
@@ -34,10 +29,11 @@
 //   .reorder_mailboxes  threaded-only: consume each drained ring batch in
 //                random order (full asynchrony).
 //   .workers     threaded-only: worker threads the node actors are
-//                partitioned across. 0 = one worker per node (legacy
-//                thread-per-node, maximal interleaving); 1 = sequential and
-//                deterministic for a fixed submission order. DirectoryService
-//                ignores this: its worker count IS its shard count.
+//                partitioned across; defaults to the host's hardware thread
+//                count and is clamped to the node count (0 is rejected).
+//                1 = sequential and deterministic for a fixed submission
+//                order. DirectoryService ignores this: its worker count IS
+//                its shard count.
 //   .batch_size  threaded-only: max ring slots drained per visit.
 //   .ring_capacity  threaded-only: ring slots per mailbox (rounded up to a
 //                power of two).
@@ -45,10 +41,12 @@
 //                for the fault schedule.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <thread>
 
 #include "faults/fault_plan.hpp"
 #include "proto/init.hpp"
@@ -72,14 +70,11 @@ struct Options {
   // --- threaded transport (LiveDirectory / DirectoryService kLive) ---------
   std::chrono::microseconds max_jitter{0};
   bool reorder_mailboxes = false;
-  std::size_t workers = 0;
+  std::size_t workers =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
   std::size_t batch_size = 16;
   std::size_t ring_capacity = 256;
   std::chrono::microseconds fault_time_unit{200};
 };
-
-// Historical names, kept as aliases for one release (see the header comment).
-using DirectoryOptions = Options;
-using LiveOptions = Options;
 
 }  // namespace arvy

@@ -4,17 +4,6 @@
 
 #include "support/assert.hpp"
 
-// TSan cannot model standalone fences (GCC diagnoses them under
-// -fsanitize=thread). The two seq_cst fences in this TU only order the
-// eventcount's flag checks against each other (the Dekker pairing in
-// run_worker/maybe_wake); every cross-thread *data* transfer synchronizes
-// through atomics TSan does track (the ring slot sequence words), and a
-// missed wakeup is bounded by the worker's 2 ms timed backstop. Ignoring
-// the fences therefore costs the analysis nothing.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
-#pragma GCC diagnostic ignored "-Wtsan"
-#endif
-
 namespace arvy::runtime {
 
 ActorSystem::ActorSystem(const graph::Graph& g,
@@ -24,15 +13,13 @@ ActorSystem::ActorSystem(const graph::Graph& g,
   ARVY_EXPECTS(init.node_count() == g.node_count());
   ARVY_EXPECTS(init.is_valid_tree());
   ARVY_EXPECTS(g.node_count() >= 1);
+  ARVY_EXPECTS(options_.workers >= 1);
   ARVY_EXPECTS(options_.batch_size >= 1);
   ARVY_EXPECTS(options_.ring_capacity >= 2);
   oracle_.prewarm_all();  // all threads read the oracle concurrently
 
-  // 0 = legacy thread-per-node shape; otherwise a fixed pool (never more
-  // workers than actors - extra workers would own empty partitions).
-  const std::size_t worker_count =
-      options_.workers == 0 ? g.node_count()
-                            : std::min(options_.workers, g.node_count());
+  // Never more workers than actors: extra ones would own empty partitions.
+  const std::size_t worker_count = std::min(options_.workers, g.node_count());
   workers_.reserve(worker_count);
   for (std::size_t w = 0; w < worker_count; ++w) {
     auto worker = std::make_unique<Worker>();
@@ -97,37 +84,34 @@ proto::RequestId ActorSystem::request(NodeId v) {
     (void)proto::wire::encode_request_envelope(id, slot);
   });
   ARVY_ASSERT_MSG(pushed, "request raced shutdown");
-  maybe_wake(*actor.owner);
+  actor.owner->park.notify();
   return id;
-}
-
-// The CV predicates read satisfied_ relaxed: both the predicate and the
-// increment in note_satisfied run under stats_mutex_, so the mutex already
-// provides every ordering the protocol needs - an acquire here would be
-// decoration (see the threading contract in the header).
-void ActorSystem::wait_for_satisfied(std::uint64_t count) {
-  std::unique_lock<support::RankedMutex> lock(stats_mutex_);
-  satisfied_cv_.wait(lock, [this, count] {
-    return satisfied_.load(std::memory_order_relaxed) >= count;
-  });
 }
 
 bool ActorSystem::wait_for_satisfied_for(std::uint64_t count,
                                          std::chrono::milliseconds timeout) {
-  std::unique_lock<support::RankedMutex> lock(stats_mutex_);
-  return satisfied_cv_.wait_for(lock, timeout, [this, count] {
-    return satisfied_.load(std::memory_order_relaxed) >= count;
-  });
+  return progress_.wait_until(
+      [this, count] { return satisfied_count() >= count; },
+      EventCount::Clock::now() + timeout);
+}
+
+std::uint64_t ActorSystem::satisfied_count() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& worker : workers_) {
+    total += worker->satisfied.load(std::memory_order_acquire);
+  }
+  return total;
 }
 
 // The accounting atomics are single-writer (the sending actor's owner
 // worker), so each relaxed load reads an exact committed value; the sum is
 // a consistent total only once the system is quiescent. Readers who need
 // the final numbers already have a happens-before edge that covers every
-// charge: wait_for_satisfied's stats_mutex_ handoff, or the thread joins
-// behind shut_down_. The previous acquire loads suggested a pairing with a
-// release store that does not exist (the writes are relaxed) - they bought
-// nothing and were downgraded in the PR-9 ordering audit.
+// charge: every message is charged before its ring publish, the chain of
+// slot handoffs it starts ends in a satisfaction, and satisfied_count's
+// acquire loads pair with note_satisfied's release stores - or the thread
+// joins behind shut_down_. The cost words themselves carry no pairing, so
+// their loads stay relaxed.
 double ActorSystem::total_cost() const {
   double total = 0.0;
   for (const auto& actor : actors_) {
@@ -178,16 +162,15 @@ void ActorSystem::shutdown() {
   // Tell workers to exit once their partition runs dry, then close the
   // channels. A worker drains everything already published before leaving;
   // frames sent to an already-closed ring during a non-quiescent teardown
-  // are the documented accepted loss. Release (not seq_cst: the flag takes
-  // no part in the Dekker pairing) - a parked worker observes the store
-  // through wake_slow's mutex handoff below, a running one through its
-  // next park attempt or the 2 ms timed backstop.
+  // are the documented accepted loss. The flag is part of every worker's
+  // park condition, so the notify below either wakes a parked worker or is
+  // seen by its next park attempt.
   stopping_.store(true, std::memory_order_release);
   for (auto& actor : actors_) {
     actor->ring->close();
     actor->overflow.close();
   }
-  for (auto& worker : workers_) wake_slow(*worker);
+  for (auto& worker : workers_) worker->park.notify();
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }
@@ -203,59 +186,34 @@ const proto::ArvyCore& ActorSystem::node(NodeId v) const {
   return *actors_[v]->core;
 }
 
-void ActorSystem::note_satisfied() {
-  {
-    // The mutex, not the atomicity, is what makes the CV protocol sound: a
-    // waiter evaluates its predicate under stats_mutex_, so this increment
-    // either happens-before the check (waiter sees it) or after the waiter
-    // is parked (notify_all wakes it). Incrementing outside the lock could
-    // land between the two and the notification would be lost.
-    std::lock_guard<support::RankedMutex> lock(stats_mutex_);
-    // Relaxed: stats_mutex_ orders this against the CV predicates and
-    // satisfied_count is a monotone peek (was acq_rel - the RMW never
-    // published anything beyond the counter itself).
-    satisfied_.fetch_add(1, std::memory_order_relaxed);
-  }
-  satisfied_cv_.notify_all();
+ARVY_HOT void ActorSystem::note_satisfied(Worker& worker) {
+  // Single writer (this worker), so load + store is exact; the release
+  // pairs with satisfied_count's acquire loads.
+  worker.satisfied.store(worker.satisfied.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_release);
+  progress_.notify();
 }
 
 // --- worker loop -----------------------------------------------------------
 
 void ActorSystem::run_worker(Worker& worker) {
+  const auto ready = [this, &worker] {
+    return stopping_.load(std::memory_order_acquire) ||
+           worker_has_work(worker);
+  };
   for (;;) {
     bool did_work = false;
     for (const NodeId v : worker.actors) {
       did_work |= drain_actor(worker, *actors_[v]);
     }
     if (did_work) continue;
-
-    // Eventcount park. Announce intent with a seq_cst store, re-scan, and
-    // only then wait: a producer that published after the re-scan began
-    // observes kPreparing past its own seq_cst fence and takes the wake_slow
-    // path; a producer that published before is caught by the re-scan. The
-    // short timed wait is a belt-and-braces backstop, not a correctness
-    // requirement.
-    worker.phase.store(Worker::kPreparing, std::memory_order_seq_cst);
-    // Store-load fence: the re-scan's loads must not be satisfied from
-    // before the kPreparing store became visible (Dekker pairing with the
-    // producer's fence in maybe_wake).
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (worker_has_work(worker)) {
-      worker.phase.store(Worker::kRunning, std::memory_order_relaxed);
-      continue;
+    // The rescan after stopping_'s acquire load sees every frame published
+    // before the stop, so nothing admitted before shutdown() is left behind.
+    if (stopping_.load(std::memory_order_acquire) && !worker_has_work(worker)) {
+      return;
     }
-    if (stopping_.load(std::memory_order_acquire)) {
-      worker.phase.store(Worker::kRunning, std::memory_order_relaxed);
-      return;  // partition drained and the system is stopping
-    }
-    {
-      std::unique_lock<support::RankedMutex> lock(worker.mutex);
-      if (worker.phase.load(std::memory_order_relaxed) == Worker::kPreparing &&
-          !stopping_.load(std::memory_order_acquire)) {
-        worker.cv.wait_for(lock, std::chrono::milliseconds(2));
-      }
-    }
-    worker.phase.store(Worker::kRunning, std::memory_order_relaxed);
+    (void)worker.park.wait_until(ready,
+                                 EventCount::Clock::now() + kParkBackstop);
   }
 }
 
@@ -321,7 +279,7 @@ ARVY_HOT void ActorSystem::process_frame(NodeActor& actor,
     case proto::wire::Kind::kRequest:
       if (actor.core->holds_token()) {
         // Trivially satisfied at the holder, as in the simulator.
-        note_satisfied();
+        note_satisfied(*actor.owner);
         return;
       }
       effects = actor.core->request_token(view.request);
@@ -358,7 +316,7 @@ void ActorSystem::process_envelope(NodeActor& actor, Envelope& envelope) {
 
 ARVY_HOT void ActorSystem::deliver_effects(NodeActor& from,
                                            proto::Effects&& effects) {
-  if (effects.satisfied.has_value()) note_satisfied();
+  if (effects.satisfied.has_value()) note_satisfied(*from.owner);
   for (proto::Outgoing& out : effects.sends) {
     if (options_.max_jitter.count() > 0) {
       const auto jitter = std::chrono::microseconds(
@@ -409,7 +367,7 @@ ARVY_HOT void ActorSystem::enqueue_protocol(NodeId to,
     overflow_send(peer, message, dedup);
     return;
   }
-  if (result == PushResult::kOk) maybe_wake(*peer.owner);
+  if (result == PushResult::kOk) peer.owner->park.notify();
   // kClosed: delivery raced a non-quiescent shutdown - the message is part
   // of the teardown's accepted loss, not a contract violation.
 }
@@ -420,30 +378,10 @@ void ActorSystem::overflow_send(NodeActor& peer, const proto::Message& message,
   envelope.payload = message;  // boxed copy - cold path only
   envelope.dedup = dedup;
   if (!peer.overflow.try_push(std::move(envelope))) return;  // accepted loss
-  // Release is enough (was seq_cst): maybe_wake's seq_cst fence right after
-  // this store is the producer half of the Dekker pairing, so either the
-  // parking worker's post-fence rescan sees the flag or this thread sees
-  // kPreparing and takes wake_slow - same argument as the ring publish.
+  // The flag is part of the owner's park condition, so the notify's fence
+  // covers it exactly like a ring publish.
   peer.overflow_nonempty.store(true, std::memory_order_release);
-  maybe_wake(*peer.owner);
-}
-
-ARVY_HOT void ActorSystem::maybe_wake(Worker& worker) {
-  // Publish-then-check side of the eventcount: the fence orders this
-  // thread's frame publish before the phase read, pairing with the
-  // consumer's seq_cst kPreparing store before its re-scan.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (worker.phase.load(std::memory_order_relaxed) != Worker::kRunning) {
-    wake_slow(worker);
-  }
-}
-
-void ActorSystem::wake_slow(Worker& worker) {
-  {
-    std::lock_guard<support::RankedMutex> lock(worker.mutex);
-    worker.phase.store(Worker::kNotified, std::memory_order_relaxed);
-  }
-  worker.cv.notify_one();
+  peer.owner->park.notify();
 }
 
 bool ActorSystem::first_arrival(NodeActor& actor, std::uint64_t dedup) {

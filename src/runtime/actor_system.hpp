@@ -11,19 +11,20 @@
 // exact same protocol core.
 //
 // Hot path (all ARVY_HOT, checked by arvy_lint: no alloc/lock/throw/log):
-//   enqueue: encode_envelope into a claimed ring slot (one CAS) + a fenced
-//   wake check; drain: acquire_batch -> decode_envelope views -> core
-//   dispatch -> deliver_effects -> release_batch. The only allocations left
-//   per message are inside ArvyCore itself (visited copies), shared with the
-//   sim transport. Cold paths stay conventional: a full ring overflows into
-//   the actor's old Mailbox (the overflow valve - a worker must never block
-//   on a ring it drains itself), and the fault nurse re-drives deferred
-//   deliveries the same way.
+//   enqueue: encode_envelope into a claimed ring slot (one CAS) + the owner
+//   worker's EventCount::notify (a fence and a load); drain: acquire_batch
+//   -> decode_envelope views -> core dispatch -> deliver_effects ->
+//   release_batch. The only allocations left per message are inside
+//   ArvyCore itself (visited copies), shared with the sim transport. Cold
+//   paths stay conventional: a full ring overflows into the actor's boxed
+//   Mailbox (the overflow valve - a worker must never block on a ring it
+//   drains itself), and the fault nurse re-drives deferred deliveries the
+//   same way.
 //
 // Threading contract (checked under ThreadSanitizer by the tier-1 suite):
-//  - each core is touched only by the worker that owns its actor; with
-//    workers == node_count this degenerates to the old thread-per-node model
-//    (the default), with workers == 1 the runtime is sequential and
+//  - each core is touched only by the worker that owns its actor; the pool
+//    has min(workers, node_count) threads (workers defaults to the host's
+//    hardware threads), and with workers == 1 the runtime is sequential and
 //    deterministic for a fixed submission order;
 //  - the policy object is cloned per node; cores also get per-node RNGs;
 //  - the distance oracle is prewarmed before threads start and then only read;
@@ -31,20 +32,17 @@
 //    the SENDING actor writes; readers sum). The writes are sequenced before
 //    the ring publish of the message they charge for, so any observer that
 //    saw the message's consequences sees the charge;
-//  - the satisfied counter is atomic so satisfied_count() is wait-free, but
-//    every increment happens while holding stats_mutex_ followed by a CV
-//    notify: the increment cannot interleave between a waiter's predicate
-//    check and its wait, so wakeups are never lost;
-//  - worker parking is an eventcount: a producer publishes its frame, issues
-//    a seq_cst fence, and reads the consumer's phase word; the consumer
-//    announces kPreparing with a seq_cst store, rescans its rings, and only
-//    then parks (with a short timed backstop). One side always observes the
-//    other, so no wakeup is lost without any lock on the publish path;
-//  - request/wait_for_satisfied/satisfied_count may be called from any
+//  - every wait is a runtime::EventCount (runtime/event_count.hpp): each
+//    worker parks on its own with a 2 ms backstop, and producers notify it
+//    after each ring publish; wait_for_satisfied_for waits on the system's
+//    progress EventCount. The satisfied count is one single-writer counter
+//    per worker, stored with release and summed with acquire loads, so a
+//    waiter that sees its target also sees every write sequenced before the
+//    satisfactions it counted - the cost charges included;
+//  - request/wait_for_satisfied_for/satisfied_count may be called from any
 //    thread; shutdown() must not race with request() (push-after-close
 //    aborts) and node() is legal only after shutdown() has returned;
-//  - all mutexes are rank-checked (support/lock_rank.hpp): stats < faults <
-//    delayed-queue < worker < mailbox is the only legal nesting order.
+//  - all mutexes are rank-checked (support/lock_rank.hpp); none nest.
 //
 // Fault injection (Options::faults): the same faults::FaultInjector the
 // simulator uses, serialized behind its own mutex, decides each send's fate.
@@ -60,9 +58,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_set>
@@ -78,6 +74,7 @@
 #include "proto/policies.hpp"
 #include "proto/wire.hpp"
 #include "runtime/delayed_queue.hpp"
+#include "runtime/event_count.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/ring_mailbox.hpp"
 #include "support/hot.hpp"
@@ -87,17 +84,12 @@ namespace arvy::runtime {
 
 using graph::NodeId;
 
-// The runtime reads the unified options surface (proto/options.hpp): seed,
-// max_jitter, reorder_mailboxes, workers, batch_size, ring_capacity, faults,
-// retry and fault_time_unit. The protocol-resolution fields (policy, initial,
-// sim discipline/delay) are the facade's job - ActorSystem takes the already
-// resolved policy and initial config as constructor arguments.
-using ActorOptions = arvy::Options;
-
 class ActorSystem {
  public:
-  using Options = ActorOptions;
-
+  // Reads the transport fields of the unified arvy::Options (seed,
+  // max_jitter, reorder_mailboxes, workers, batch_size, ring_capacity,
+  // faults, retry, fault_time_unit). Protocol resolution (policy, initial
+  // tree) is the facade's job: the policy and tree arrive resolved.
   ActorSystem(const graph::Graph& g, const proto::InitialConfig& init,
               const proto::NewParentPolicy& policy, Options options = {});
   ~ActorSystem();
@@ -111,21 +103,15 @@ class ActorSystem {
   // bounded-buffer backpressure (blocks while v's ring is full).
   proto::RequestId request(NodeId v);
 
-  // Blocks until at least `count` requests (cumulative) are satisfied.
-  void wait_for_satisfied(std::uint64_t count);
-
-  // Like wait_for_satisfied, but gives up after `timeout`. Returns whether
-  // the target was reached. Tests use this instead of the untimed wait so a
-  // liveness regression fails the test instead of hanging ctest forever.
+  // Blocks until at least `count` requests (cumulative) are satisfied or
+  // `timeout` elapses; returns whether the target was reached. Timed so a
+  // liveness regression fails its caller instead of hanging it.
   [[nodiscard]] bool wait_for_satisfied_for(std::uint64_t count,
                                             std::chrono::milliseconds timeout);
 
-  // Monotone counter peeks: relaxed is the whole contract - the value is
-  // exact-at-some-moment, and callers who need an ordered view already hold
-  // stats_mutex_ (the CV waits) or observed shut_down_ (the joins).
-  [[nodiscard]] std::uint64_t satisfied_count() const noexcept {
-    return satisfied_.load(std::memory_order_relaxed);
-  }
+  // Sum of the per-worker satisfied counters (acquire loads: a caller that
+  // sees a count also sees what the counted satisfactions published).
+  [[nodiscard]] std::uint64_t satisfied_count() const noexcept;
   [[nodiscard]] std::uint64_t submitted_count() const noexcept {
     return next_request_.load(std::memory_order_relaxed) - 1;
   }
@@ -146,8 +132,8 @@ class ActorSystem {
   // were declared). Callable from any thread.
   [[nodiscard]] faults::FaultStats fault_stats() const;
 
-  // Stops all worker threads. Callers should wait_for_satisfied first so the
-  // network is quiescent; pending ring/overflow items are still drained.
+  // Stops all worker threads. Callers should wait_for_satisfied_for first so
+  // the network is quiescent; pending ring/overflow items are still drained.
   void shutdown();
 
   // Post-shutdown inspection (threads joined, single-threaded again).
@@ -172,19 +158,14 @@ class ActorSystem {
     Envelope envelope;
   };
 
-  // One drain-side thread. Parking is an eventcount (see file comment);
-  // the mutex/CV pair is only the slow path of wake().
+  // One drain-side thread; producers notify `park` after publishing to
+  // any ring of its partition.
   struct Worker {
-    enum Phase : std::uint32_t { kRunning = 0, kPreparing = 1, kNotified = 2 };
-
     std::vector<NodeId> actors;  // owned partition, round-robin by id
     std::thread thread;
-    // The eventcount word: all ordering comes from the two seq_cst Dekker
-    // fences (run_worker / maybe_wake), so the accesses themselves stay
-    // relaxed except the kPreparing announcement (see actor_system.cpp).
-    std::atomic<std::uint32_t> phase{kRunning};  // ARVY-ATOMIC(eventcount)
-    support::RankedMutex mutex{support::lock_rank::kWorker, "worker-park"};
-    std::condition_variable_any cv;
+    EventCount park;
+    // Requests this worker's actors satisfied (see satisfied_count).
+    std::atomic<std::uint64_t> satisfied{0};  // ARVY-ATOMIC(single-writer)
     std::vector<std::uint32_t> shuffle;  // reorder_mailboxes batch scratch
   };
 
@@ -197,8 +178,8 @@ class ActorSystem {
     // Hot channel: bounded ring of flat wire envelopes.
     std::optional<RingMailbox> ring;
     // Cold overflow valve: a worker that finds a peer's ring full must not
-    // spin (it might BE that ring's drainer), so the frame falls back to the
-    // old boxed mailbox, flagged here and drained before the next batch.
+    // spin (it might BE that ring's drainer), so the frame falls back to a
+    // boxed Mailbox, flagged here and drained before the next batch.
     Mailbox<Envelope> overflow;
     std::atomic<bool> overflow_nonempty{false};  // ARVY-ATOMIC(flag)
     support::Rng jitter_rng{0};
@@ -230,16 +211,12 @@ class ActorSystem {
   // overflow valve when full, drops (accepted loss) when closed.
   void enqueue_protocol(NodeId to, const proto::Message& message,
                         std::uint64_t dedup);
-  // Cold overflow spill + slow wake, out of line so enqueue stays hot-clean.
-  // ARVY_COLD keeps these (and the std:: machinery they drag in) out of the
-  // callers' .text.hot sections, so the binary audit sees the hot/cold
-  // boundary exactly where the design puts it (see support/hot.hpp).
+  // Cold overflow spill, out of line so enqueue stays hot-clean. ARVY_COLD
+  // keeps it (and the std:: machinery it drags in) out of the callers'
+  // .text.hot sections, so the binary audit sees the hot/cold boundary
+  // exactly where the design puts it (see support/hot.hpp).
   ARVY_COLD void overflow_send(NodeActor& peer, const proto::Message& message,
                                std::uint64_t dedup);
-  // Eventcount wake: fence + phase check inline, locking slow path only if
-  // the owner is parked or preparing to park.
-  void maybe_wake(Worker& worker);
-  ARVY_COLD void wake_slow(Worker& worker);
   [[nodiscard]] bool worker_has_work(const Worker& worker) const;
   // First-arrival check for a duplicated send's dedup group (cold: the
   // hash-table insert may rehash, i.e. allocate).
@@ -253,9 +230,8 @@ class ActorSystem {
   // Current fault-schedule time: wall time since construction, in sim-time
   // units (fault_time_unit).
   [[nodiscard]] double fault_now() const;
-  // The single writer path for satisfied_: increment under stats_mutex_,
-  // notify after releasing it (see the threading contract above).
-  ARVY_COLD void note_satisfied();
+  // Counts one satisfaction on `worker` (the caller) and notifies progress_.
+  ARVY_HOT void note_satisfied(Worker& worker);
 
   graph::DistanceOracle oracle_;
   Options options_;
@@ -263,10 +239,7 @@ class ActorSystem {
   std::vector<std::unique_ptr<Worker>> workers_;
 
   std::atomic<std::uint64_t> next_request_{1};  // ARVY-ATOMIC(counter)
-  std::atomic<std::uint64_t> satisfied_{0};     // ARVY-ATOMIC(counter)
-  mutable support::RankedMutex stats_mutex_{support::lock_rank::kStats,
-                                            "actor-stats"};
-  std::condition_variable_any satisfied_cv_;
+  EventCount progress_;  // notified on every satisfaction
 
   // Fault machinery; all null/idle when options.faults is empty.
   std::unique_ptr<faults::FaultInjector> injector_;  // guarded by faults_mutex_

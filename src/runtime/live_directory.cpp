@@ -11,22 +11,6 @@ LiveDirectory::LiveDirectory(const graph::Graph& g, Options options) {
                                                    std::move(options));
 }
 
-LiveDirectory::LiveDirectory(const graph::Graph& g, Options options,
-                             LiveOptions live) {
-  // Legacy merge: transport knobs from the second struct override the
-  // (defaulted) ones in the first.
-  options.max_jitter = live.max_jitter;
-  options.reorder_mailboxes = live.reorder_mailboxes;
-  options.workers = live.workers;
-  options.batch_size = live.batch_size;
-  options.ring_capacity = live.ring_capacity;
-  options.fault_time_unit = live.fault_time_unit;
-  const auto policy = resolve_policy(options);
-  const proto::InitialConfig init = resolve_initial_config(g, options);
-  system_ = std::make_unique<runtime::ActorSystem>(g, init, *policy,
-                                                   std::move(options));
-}
-
 LiveDirectory::~LiveDirectory() { shutdown(); }
 
 std::size_t LiveDirectory::node_count() const {

@@ -3,10 +3,10 @@
 // Same contract as the simulator-backed arvy::Directory - submit requests,
 // drain, snapshot costs and fault stats - but execution is real OS
 // asynchrony: a worker pool batch-draining per-node MPSC ring mailboxes of
-// wire-encoded envelopes (LiveOptions picks the pool and batch sizes),
-// wall-clock fault windows. Code written against AnyDirectory runs on
-// either transport; the fault-matrix tests run the identical scenario list
-// on both.
+// wire-encoded envelopes (Options::workers and batch_size pick the pool and
+// batch sizes), wall-clock fault windows. Code written against AnyDirectory
+// runs on either transport; the fault-matrix tests run the identical
+// scenario list on both.
 //
 //   arvy::LiveDirectory dir(g, {.policy = arvy::proto::PolicyKind::kIvy,
 //                               .faults = {.drop_find = 0.1},
@@ -16,8 +16,14 @@
 //   bool all = dir.drain(std::chrono::seconds(5));
 //   dir.shutdown();
 //
-// The sim-only DirectoryOptions fields (discipline, delay) are ignored here:
-// the OS scheduler is the delivery discipline.
+// The sim-only Options fields (discipline, delay, record_schedule) are
+// ignored here: the OS scheduler is the delivery discipline.
+//
+// Threading contract: acquire, drain and the counters may be called from
+// any thread; drain and acquire_and_wait wait on the runtime's progress
+// EventCount, whose acquire-loaded satisfied counters make cost_snapshot()
+// exact once drain() has returned true. shutdown() must not race acquire(),
+// and node() is legal only after shutdown().
 #pragma once
 
 #include <chrono>
@@ -34,10 +40,6 @@ class LiveDirectory final : public AnyDirectory {
   // transport knobs (max_jitter, workers, batch_size, ...); see
   // proto/options.hpp for the field guide.
   explicit LiveDirectory(const graph::Graph& g, Options options = {});
-  // Historical two-struct shape (kept for one release, like the LiveOptions
-  // alias itself): protocol fields come from `options`, transport knobs from
-  // `live`.
-  LiveDirectory(const graph::Graph& g, Options options, LiveOptions live);
   // Shuts the actor system down if the caller has not already.
   ~LiveDirectory() override;
 
@@ -57,7 +59,7 @@ class LiveDirectory final : public AnyDirectory {
   [[nodiscard]] faults::FaultStats fault_stats() const override;
 
   // --- Runtime-specific -----------------------------------------------------
-  // Stops all node threads (drain first for a quiescent stop). Idempotent.
+  // Stops all worker threads (drain first for a quiescent stop). Idempotent.
   void shutdown();
   [[nodiscard]] bool is_shut_down() const noexcept;
   // Post-shutdown inspection of a node's protocol core (tree sanity checks).

@@ -1,29 +1,27 @@
-// A blocking multi-producer mailbox for the threaded runtime.
+// An unbounded, non-blocking multi-producer mailbox: the runtime's overflow
+// valve.
 //
-// The paper's network model only promises eventual delivery; a mutex +
-// condition-variable deque provides exactly that (plus per-sender FIFO,
-// which the protocol does not rely on - the simulator's adversarial
-// disciplines cover reordering).
+// ActorSystem's hot channel is the bounded RingMailbox. When a worker finds
+// a peer's ring full it must not spin - it may be that ring's only drainer -
+// so the frame spills, boxed, into the peer's Mailbox and the owner worker
+// drains it with try_pop before its next batch. Nothing blocks on a
+// Mailbox: the owner learns about spills through a flag and its EventCount,
+// never by waiting here.
 //
 // Thread-safety contract (checked by tests/test_concurrency_stress.cpp
 // under ThreadSanitizer):
-//  - push / pop / pop_random / size may be called from any thread;
-//  - close may race with consumers (they drain, then observe nullopt) but
-//    NOT with push-producers: push on a closed mailbox is a contract
-//    violation, so push callers must quiesce or join before closing.
-//    Producers that may legitimately outlive quiescence (peer actors and
-//    the fault nurse during a non-quiescent shutdown) use try_push, which
-//    discards instead of aborting once the box is closed;
-//  - the internal mutex is rank-checked (support/lock_rank.hpp): holding a
-//    mailbox lock while acquiring any lower-ranked lock aborts.
+//  - try_push / try_pop / close may be called from any thread;
+//  - try_push discards the item and returns false once the box is closed
+//    (in-flight traffic at a non-quiescent shutdown is the documented
+//    accepted loss); items pushed before close stay poppable;
+//  - FIFO per producer; the internal mutex is rank-checked
+//    (support/lock_rank.hpp) and never held on return.
 #pragma once
 
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <optional>
 
-#include "support/assert.hpp"
 #include "support/lock_rank.hpp"
 
 namespace arvy::runtime {
@@ -31,103 +29,32 @@ namespace arvy::runtime {
 template <typename T>
 class Mailbox {
  public:
-  // Enqueues an item; wakes one waiting consumer. Never blocks long (the
-  // queue is unbounded - protocol traffic per node is small and finite).
-  void push(T item) {
-    {
-      std::lock_guard<support::RankedMutex> lock(mutex_);
-      ARVY_ASSERT_MSG(!closed_, "push to a closed mailbox");
-      items_.push_back(std::move(item));
-    }
-    ready_.notify_one();
-  }
-
-  // Close-tolerant push for producers that may legitimately race shutdown
-  // (actor-to-actor deliveries, the fault nurse's deferred retries): the
-  // item is discarded once the box is closed, and the caller learns it.
-  // External submitters must keep using push - losing a user's request
-  // silently is a bug, losing in-flight traffic at teardown is the
-  // documented "accepted loss" of a non-quiescent shutdown.
+  // Enqueues an item unless the box is closed; returns whether it did.
   [[nodiscard]] bool try_push(T item) {
-    {
-      std::lock_guard<support::RankedMutex> lock(mutex_);
-      if (closed_) return false;
-      items_.push_back(std::move(item));
-    }
-    ready_.notify_one();
+    std::lock_guard<support::RankedMutex> lock(mutex_);
+    if (closed_) return false;
+    items_.push_back(std::move(item));
     return true;
   }
 
-  // Blocks until an item is available or the box is closed; nullopt on
-  // close-and-empty.
-  //
-  // gcc 12 reports a bogus -Wuninitialized when T contains a std::variant:
-  // the diagnostic points into the variant storage of the moved-FROM deque
-  // slot, which items_.front()/items_[index] guarantee is alive (same false-
-  // positive family as gcc PR 105593). Suppressed for the two pop bodies
-  // only; clang compiles them clean.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-  [[nodiscard]] std::optional<T> pop() {
-    std::unique_lock<support::RankedMutex> lock(mutex_);
-    ready_.wait(lock, [this] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    std::optional<T> item(std::move(items_.front()));
-    items_.pop_front();
-    return item;
-  }
-
-  // Non-blocking pop: nullopt when the box is currently empty (closed or
-  // not). Used by the ring runtime's workers to drain the cold overflow
-  // valve without parking on the mailbox CV.
+  // The oldest item, or nullopt when the box is currently empty.
   [[nodiscard]] std::optional<T> try_pop() {
     std::lock_guard<support::RankedMutex> lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    std::optional<T> item(std::move(items_.front()));
-    items_.pop_front();
-    return item;
-  }
-
-  // Like pop, but takes a uniformly random queued item instead of the
-  // oldest: per-channel FIFO is an accident of the transport, not a protocol
-  // assumption, and this consumes messages in adversarially shuffled order
-  // (the threaded analogue of the simulator's kRandom discipline).
-  template <typename Rng>
-  [[nodiscard]] std::optional<T> pop_random(Rng& rng) {
-    std::unique_lock<support::RankedMutex> lock(mutex_);
-    ready_.wait(lock, [this] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    const std::size_t index = rng.next_below(items_.size());
-    std::optional<T> item(std::move(items_[index]));
-    items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(index));
-    return item;
-  }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-  // After close, pop drains remaining items and then returns nullopt.
-  void close() {
-    {
-      std::lock_guard<support::RankedMutex> lock(mutex_);
-      closed_ = true;
+    std::optional<T> item;
+    if (!items_.empty()) {
+      item.emplace(std::move(items_.front()));
+      items_.pop_front();
     }
-    ready_.notify_all();
+    return item;
   }
 
-  [[nodiscard]] std::size_t size() const {
+  void close() {
     std::lock_guard<support::RankedMutex> lock(mutex_);
-    return items_.size();
+    closed_ = true;
   }
 
  private:
-  // condition_variable_any because the mutex is the rank-checked wrapper,
-  // not std::mutex; the CV's internal unlock/relock is rank-checked too.
-  mutable support::RankedMutex mutex_{support::lock_rank::kMailbox, "mailbox"};
-  std::condition_variable_any ready_;
+  support::RankedMutex mutex_{support::lock_rank::kMailbox, "mailbox"};
   std::deque<T> items_;
   bool closed_ = false;
 };

@@ -15,15 +15,6 @@
 #include "verify/configuration.hpp"
 #include "verify/invariants.hpp"
 
-// Same note as runtime/actor_system.cpp: TSan cannot model standalone fences
-// (GCC diagnoses them under -fsanitize=thread). The two seq_cst fences here
-// only order the eventcount's flag checks against each other; every
-// cross-thread data transfer synchronizes through the ring slot sequence
-// words, and a missed wakeup is bounded by the 2 ms timed backstop.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
-#pragma GCC diagnostic ignored "-Wtsan"
-#endif
-
 namespace arvy {
 
 namespace {
@@ -79,31 +70,29 @@ struct DirectoryService::Shard {
   // Costs of every PARKED burst; engine->costs() holds the loaded object's.
   proto::CostAccount committed;
 
-  // Cross-thread telemetry. The cost atomics are single-writer (the shard
-  // worker flushes after each request); the counters are monotone peeks.
+  // Cross-thread telemetry. The single-writer words are written only by
+  // the shard's worker (the caller in kSim): costs are flushed after each
+  // request, processed is the progress count the waits sum (see
+  // note_progress). The counters are monotone peeks.
   std::atomic<double> find_cost{0.0};             // ARVY-ATOMIC(single-writer)
   std::atomic<double> token_cost{0.0};            // ARVY-ATOMIC(single-writer)
   std::atomic<std::uint64_t> find_messages{0};    // ARVY-ATOMIC(single-writer)
   std::atomic<std::uint64_t> token_messages{0};   // ARVY-ATOMIC(single-writer)
   std::atomic<std::uint64_t> max_visited{0};      // ARVY-ATOMIC(single-writer)
+  std::atomic<std::uint64_t> processed{0};        // ARVY-ATOMIC(single-writer)
+  std::atomic<std::uint64_t> satisfied{0};        // ARVY-ATOMIC(single-writer)
   std::atomic<std::uint64_t> admitted{0};         // ARVY-ATOMIC(counter)
-  std::atomic<std::uint64_t> processed{0};        // ARVY-ATOMIC(counter)
-  std::atomic<std::uint64_t> satisfied{0};        // ARVY-ATOMIC(counter)
   std::atomic<std::uint64_t> recoveries{0};       // ARVY-ATOMIC(counter)
   std::atomic<std::uint64_t> resident{0};         // ARVY-ATOMIC(counter)
 
   // Copied from the injector under the service stats mutex on each processed
-  // request, so fault_stats() never races the worker (see note_progress).
+  // request, so fault_stats() never races the worker (see copy_fault_stats).
   faults::FaultStats fault_snapshot;
 
-  // kLive: admission ring + pinned worker with an eventcount park (the same
-  // protocol as ActorSystem::Worker; see run_shard / maybe_wake).
+  // kLive: admission ring + pinned worker, parked on `park` when idle.
   std::optional<runtime::RingMailbox> ring;
   std::thread thread;
-  enum Phase : std::uint32_t { kRunning = 0, kPreparing = 1, kNotified = 2 };
-  std::atomic<std::uint32_t> phase{kRunning};  // ARVY-ATOMIC(eventcount)
-  support::RankedMutex mutex{support::lock_rank::kWorker, "shard-worker"};
-  std::condition_variable_any cv;
+  runtime::EventCount park;
 
   [[nodiscard]] std::size_t bridge_words() const noexcept {
     return (nodes + 63) / 64;
@@ -176,6 +165,9 @@ DirectoryService::DirectoryService(const graph::Graph& g,
       routing_(static_cast<std::uint32_t>(shard_count), options_.seed) {
   ARVY_EXPECTS(shard_count >= 1);
   ARVY_EXPECTS(g.node_count() >= 2);
+  // A zero batch would make every shard worker spin on a ring it never
+  // drains.
+  ARVY_EXPECTS(options_.batch_size >= 1);
   policy_ = resolve_policy(options_);
   track_bridges_ = options_.policy == proto::PolicyKind::kBridge;
   build_canonical();
@@ -231,7 +223,8 @@ std::unique_ptr<DirectoryService::Shard> DirectoryService::make_shard(
   // branch is dead until on_satisfied is called (pre-acquire, see header).
   shard->engine->set_satisfied_hook(
       [this, raw](const proto::RequestRecord& record) {
-        raw->satisfied.fetch_add(1, std::memory_order_relaxed);
+        raw->satisfied.store(raw->satisfied.load(std::memory_order_relaxed) + 1,
+                             std::memory_order_relaxed);
         if (satisfied_observer_) {
           satisfied_observer_(raw->current.value_or(0), record);
         }
@@ -277,6 +270,13 @@ std::uint64_t DirectoryService::acquire(ObjectId object, graph::NodeId node) {
 std::uint64_t DirectoryService::submit_batch(
     std::span<const service::ObjectRequest> batch) {
   ARVY_EXPECTS_MSG(!is_shut_down(), "submit_batch after shutdown");
+  // Validate the whole batch before admitting any of it: in kLive a bad node
+  // would otherwise abort later, on a shard worker, after submitted_ had
+  // counted it.
+  for (const service::ObjectRequest& request : batch) {
+    ARVY_EXPECTS_MSG(request.node < graph_->node_count(),
+                     "submit_batch: request node out of range");
+  }
   const std::uint64_t base =
       submitted_.fetch_add(batch.size(), std::memory_order_relaxed);
   for (const service::ObjectRequest& request : batch) {
@@ -297,30 +297,24 @@ void DirectoryService::acquire_and_wait(ObjectId object, graph::NodeId node) {
   if (mode_ == ServiceMode::kSim) return;  // processed inline
   // The ring is FIFO and our frame is fully pushed, so its ring position is
   // at most the admission count read AFTER the push completes; once the
-  // shard has processed that many frames, ours is among them.
+  // shard has processed that many frames, ours is among them. Untimed:
+  // processing never blocks, so the wait ends once the shard reaches it.
   const std::uint64_t target = shard.admitted.load(std::memory_order_relaxed);
-  std::unique_lock<support::RankedMutex> lock(stats_mutex_);
-  progress_cv_.wait(lock, [&shard, target] {
-    return shard.processed.load(std::memory_order_relaxed) >= target;
-  });
+  (void)progress_.wait_until(
+      [&shard, target] {
+        return shard.processed.load(std::memory_order_acquire) >= target;
+      },
+      runtime::EventCount::Clock::time_point::max());
 }
 
 bool DirectoryService::drain(std::chrono::milliseconds budget) {
-  // Relaxed: the counter only names a target; every ordering the waiter
-  // needs comes from the stats mutex the predicate runs under.
+  // Relaxed: the counter only names a target; the ordering the caller needs
+  // comes from processed_count's acquire loads.
   const std::uint64_t target = submitted_.load(std::memory_order_relaxed);
   if (mode_ == ServiceMode::kSim) return satisfied_count() >= target;
-  bool processed_all = false;
-  {
-    std::unique_lock<support::RankedMutex> lock(stats_mutex_);
-    processed_all = progress_cv_.wait_for(lock, budget, [this, target] {
-      std::uint64_t processed = 0;
-      for (const auto& shard : shards_) {
-        processed += shard->processed.load(std::memory_order_relaxed);
-      }
-      return processed >= target;
-    });
-  }
+  const bool processed_all = progress_.wait_until(
+      [this, target] { return processed_count() >= target; },
+      runtime::EventCount::Clock::now() + budget);
   return processed_all && satisfied_count() >= target;
 }
 
@@ -339,7 +333,7 @@ std::uint64_t DirectoryService::satisfied_count() const {
 std::uint64_t DirectoryService::processed_count() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->processed.load(std::memory_order_relaxed);
+    total += shard->processed.load(std::memory_order_acquire);
   }
   return total;
 }
@@ -532,14 +526,14 @@ void DirectoryService::shutdown() {
   if (is_shut_down()) return;
   if (mode_ == ServiceMode::kLive) {
     // Same order as ActorSystem::shutdown: raise the flag, close admission,
-    // wake everyone (a parked worker observes stopping_ through wake_slow's
-    // mutex handoff), then join. Workers drain every published frame before
-    // leaving, so a quiescent shutdown loses nothing.
+    // notify every park (stopping_ is part of its condition), then join.
+    // Workers drain every published frame before leaving, so a quiescent
+    // shutdown loses nothing.
     stopping_.store(true, std::memory_order_release);
     for (auto& shard : shards_) {
       if (shard->ring) shard->ring->close();
     }
-    for (auto& shard : shards_) wake_slow(*shard);
+    for (auto& shard : shards_) shard->park.notify();
     for (auto& shard : shards_) {
       if (shard->thread.joinable()) shard->thread.join();
     }
@@ -560,56 +554,25 @@ ARVY_HOT void DirectoryService::enqueue(Shard& shard,
     std::memcpy(slot, &request, sizeof(request));
   });
   ARVY_ASSERT_MSG(pushed, "acquire raced shutdown");
-  maybe_wake(shard);
-}
-
-ARVY_HOT void DirectoryService::maybe_wake(Shard& shard) {
-  // Publish-then-check side of the eventcount: the fence orders this
-  // thread's frame publish before the phase read, pairing with the worker's
-  // seq_cst kPreparing store before its re-scan (Dekker).
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (shard.phase.load(std::memory_order_relaxed) != Shard::kRunning) {
-    wake_slow(shard);
-  }
-}
-
-ARVY_COLD void DirectoryService::wake_slow(Shard& shard) {
-  {
-    std::lock_guard<support::RankedMutex> lock(shard.mutex);
-    shard.phase.store(Shard::kNotified, std::memory_order_relaxed);
-  }
-  shard.cv.notify_one();
+  shard.park.notify();
 }
 
 // --- shard worker ------------------------------------------------------------
 
 void DirectoryService::run_shard(Shard& shard) {
+  const auto ready = [this, &shard] {
+    return stopping_.load(std::memory_order_acquire) ||
+           shard.ring->has_ready();
+  };
   for (;;) {
     if (drain_ring(shard)) continue;
-
-    // Eventcount park (the ActorSystem::run_worker protocol): announce
-    // intent with a seq_cst store, re-scan, and only then wait. A producer
-    // that published after the re-scan began observes kPreparing past its
-    // own fence and takes wake_slow; one that published before is caught by
-    // the re-scan. The timed wait is a backstop, not a correctness need.
-    shard.phase.store(Shard::kPreparing, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (shard.ring->has_ready()) {
-      shard.phase.store(Shard::kRunning, std::memory_order_relaxed);
-      continue;
+    // As in ActorSystem::run_worker: the rescan after stopping_'s acquire
+    // load sees every frame admitted before shutdown().
+    if (stopping_.load(std::memory_order_acquire) && !shard.ring->has_ready()) {
+      return;
     }
-    if (stopping_.load(std::memory_order_acquire)) {
-      shard.phase.store(Shard::kRunning, std::memory_order_relaxed);
-      return;  // ring drained and the service is stopping
-    }
-    {
-      std::unique_lock<support::RankedMutex> lock(shard.mutex);
-      if (shard.phase.load(std::memory_order_relaxed) == Shard::kPreparing &&
-          !stopping_.load(std::memory_order_acquire)) {
-        shard.cv.wait_for(lock, std::chrono::milliseconds(2));
-      }
-    }
-    shard.phase.store(Shard::kRunning, std::memory_order_relaxed);
+    (void)shard.park.wait_until(
+        ready, runtime::EventCount::Clock::now() + runtime::kParkBackstop);
   }
 }
 
@@ -696,20 +659,21 @@ void DirectoryService::flush_costs(Shard& shard) {
   }
 }
 
-ARVY_COLD void DirectoryService::note_progress(Shard& shard) {
-  {
-    // The mutex, not the atomicity, makes the CV protocol sound: a waiter
-    // evaluates its predicate under stats_mutex_, so this increment either
-    // happens-before the check or lands after the waiter parked, in which
-    // case notify_all wakes it (same argument as ActorSystem's
-    // note_satisfied).
-    std::lock_guard<support::RankedMutex> lock(stats_mutex_);
-    shard.processed.fetch_add(1, std::memory_order_relaxed);
-    if (const faults::FaultInjector* injector = shard.engine->injector()) {
-      shard.fault_snapshot = injector->stats();
-    }
-  }
-  progress_cv_.notify_all();
+ARVY_HOT void DirectoryService::note_progress(Shard& shard) {
+  // The fault snapshot goes first, so a caller that sees this request
+  // processed also sees its fault counts.
+  if (shard.engine->injector() != nullptr) copy_fault_stats(shard);
+  // Single writer, so load + store is exact. The release orders everything
+  // this request did - the satisfied observer's writes included - before
+  // any waiter whose acquire load sees the new count.
+  shard.processed.store(shard.processed.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_release);
+  progress_.notify();
+}
+
+ARVY_COLD void DirectoryService::copy_fault_stats(Shard& shard) {
+  std::lock_guard<support::RankedMutex> lock(stats_mutex_);
+  shard.fault_snapshot = shard.engine->injector()->stats();
 }
 
 }  // namespace arvy

@@ -28,9 +28,9 @@
 //    resident memory scales with objects actually used, not registered.
 //  - ServiceMode::kSim processes requests inline on the caller's thread:
 //    deterministic, seedable, inspectable any time the service is quiescent.
-//    ServiceMode::kLive pins one worker thread per shard, reusing the PR 8
-//    runtime machinery (Vyukov MPSC ring admission, eventcount parking), so
-//    independent shards satisfy requests in parallel.
+//    ServiceMode::kLive pins one worker thread per shard, reusing the
+//    runtime machinery (Vyukov MPSC ring admission, runtime::EventCount
+//    parking), so independent shards satisfy requests in parallel.
 //  - Faults: Options::faults is scoped per shard (FaultPlan::for_shard - the
 //    `shards` selector plus per-shard seed decorrelation); each shard engine
 //    owns an independent injector. A token permanently lost to injection
@@ -43,17 +43,22 @@
 //  - acquire/submit_batch/drain/counters are callable from any thread;
 //    add_objects is the single control-plane writer (one thread at a time);
 //  - observers must be installed before the first acquire;
+//  - every wait is a runtime::EventCount: each shard worker parks on its own
+//    (2 ms backstop) and is notified after each ring push; acquire_and_wait
+//    and drain wait on the service's progress EventCount. The processed
+//    count is one single-writer counter per shard, stored with release after
+//    the request's observers ran and summed with acquire loads, so a caller
+//    that returns from drain() may read what its observers wrote;
 //  - holder/check_sampled/shard inspection are legal in kSim whenever the
 //    service is quiescent, and in kLive only after shutdown() (the joins
 //    provide the happens-before edge, exactly like ActorSystem::node);
 //  - fault_stats in kLive is exact after a successful drain() or after
 //    shutdown(); add_shards is kSim-only (grow before construction in kLive);
-//  - mutexes are rank-checked: stats < worker is the only nesting used here.
+//  - mutexes are rank-checked; none nest.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -65,6 +70,7 @@
 #include "proto/directory.hpp"
 #include "proto/engine.hpp"
 #include "proto/options.hpp"
+#include "runtime/event_count.hpp"
 #include "service/request.hpp"
 #include "service/routing.hpp"
 #include "support/hot.hpp"
@@ -114,7 +120,8 @@ class DirectoryService {
   // one object are satisfied in admission order.
   std::uint64_t acquire(ObjectId object, graph::NodeId node);
   // Batched admission: every pair is routed and enqueued without per-request
-  // allocation; returns the last ticket.
+  // allocation; returns the last ticket. Every node is checked before any
+  // request is admitted.
   std::uint64_t submit_batch(std::span<const service::ObjectRequest> batch);
   // Synchronous acquire: returns once the request's shard has processed it.
   void acquire_and_wait(ObjectId object, graph::NodeId node);
@@ -183,10 +190,8 @@ class DirectoryService {
   [[nodiscard]] std::uint64_t object_seed(ObjectId object) const noexcept;
   std::unique_ptr<Shard> make_shard(std::uint32_t index);
 
-  // Hot admission path: POD copy into the shard's ring + eventcount wake.
+  // Hot admission path: POD copy into the shard's ring + park notify.
   ARVY_HOT void enqueue(Shard& shard, const service::ObjectRequest& request);
-  ARVY_HOT void maybe_wake(Shard& shard);
-  ARVY_COLD void wake_slow(Shard& shard);
 
   // Shard-worker side (the control thread plays worker in kSim).
   void run_shard(Shard& shard);
@@ -195,7 +200,9 @@ class DirectoryService {
   void switch_object(Shard& shard, ObjectId object);
   ARVY_COLD void park_loaded(Shard& shard);
   void flush_costs(Shard& shard);
-  ARVY_COLD void note_progress(Shard& shard);
+  // Counts one processed request on `shard` and notifies progress_.
+  ARVY_HOT void note_progress(Shard& shard);
+  ARVY_COLD void copy_fault_stats(Shard& shard);
 
   const graph::Graph* graph_;
   Options options_;
@@ -214,12 +221,10 @@ class DirectoryService {
   SatisfiedObserver satisfied_observer_;
 
   std::atomic<std::uint64_t> submitted_{0};  // ARVY-ATOMIC(counter)
-  // The CV protocol mirrors ActorSystem::note_satisfied: per-shard processed
-  // counters increment under stats_mutex_, waiters evaluate their predicate
-  // under it, so no wakeup is ever lost.
+  runtime::EventCount progress_;  // notified on every processed request
+  // Guards each shard's fault_snapshot (kLive readers vs the shard worker).
   mutable support::RankedMutex stats_mutex_{support::lock_rank::kStats,
                                             "service-stats"};
-  std::condition_variable_any progress_cv_;
 
   std::atomic<bool> stopping_{false};   // ARVY-ATOMIC(flag)
   std::atomic<bool> shut_down_{false};  // ARVY-ATOMIC(flag)

@@ -9,9 +9,9 @@ namespace arvy::support::detail {
 
 namespace {
 
-// Per-thread stack of held ranks. Fixed capacity: the runtime's deepest legal
-// nesting is two (kStats -> kMailbox); 16 leaves room for future subsystems
-// and overflowing it is itself a design smell worth aborting on.
+// Per-thread stack of held ranks. Fixed capacity: the tree nests no ranked
+// locks today (see lock_rank.hpp); 16 leaves room for future subsystems and
+// overflowing it is itself a design smell worth aborting on.
 struct HeldLocks {
   std::array<std::uint32_t, 16> ranks{};
   std::size_t count = 0;

@@ -2,11 +2,13 @@
 //
 // The unit tests elsewhere check the runtime's functional behaviour; these
 // tests exist to hand TSan (and the lock-rank checker) as many genuinely
-// racy schedules as possible: many producers against many consumers on one
-// Mailbox, request storms against a full ActorSystem, and repeated
-// construct/storm/shutdown churn to shake the join/close ordering. They
-// assert functional outcomes too, but their real assertion is "zero
-// sanitizer reports" -- the TSan CI job runs exactly this binary.
+// racy schedules as possible: many producers against one consumer on the
+// overflow Mailbox and the RingMailbox, notify/wait storms on the
+// EventCount, request storms against a full ActorSystem and a kLive
+// DirectoryService, and repeated construct/storm/shutdown churn to shake
+// the join/close ordering. They assert functional outcomes too, but their
+// real assertion is "zero sanitizer reports" -- the TSan CI job runs
+// exactly this binary.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,8 +22,10 @@
 #include "graph/generators.hpp"
 #include "proto/policies.hpp"
 #include "runtime/actor_system.hpp"
+#include "runtime/event_count.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/ring_mailbox.hpp"
+#include "service/directory_service.hpp"
 #include "support/lock_rank.hpp"
 #include "support/rng.hpp"
 
@@ -35,8 +39,12 @@ using graph::NodeId;
 constexpr std::chrono::milliseconds kWaitCeiling{120000};
 
 TEST(MailboxStress, ManyProducersOneConsumerFifo) {
+  // The overflow valve's shape: peers push from many threads, the owner
+  // polls with try_pop. Every item must arrive exactly once, and each
+  // producer's items in push order.
   constexpr int kProducers = 8;
   constexpr int kItemsPerProducer = 2000;
+  constexpr int kTotal = kProducers * kItemsPerProducer;
   runtime::Mailbox<int> box;
 
   std::vector<std::thread> producers;
@@ -44,90 +52,35 @@ TEST(MailboxStress, ManyProducersOneConsumerFifo) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&box, p] {
       for (int i = 0; i < kItemsPerProducer; ++i) {
-        box.push(p * kItemsPerProducer + i);
+        ASSERT_TRUE(box.try_push(p * kItemsPerProducer + i));
       }
     });
   }
 
-  // Consume concurrently with the producers; close() arrives only after all
-  // producers joined (push-after-close is a contract violation by design).
   std::int64_t sum = 0;
   int count = 0;
-  std::thread consumer([&] {
-    while (auto item = box.pop()) {
-      sum += *item;
-      ++count;
+  int reordered = 0;
+  std::vector<int> next(kProducers, 0);  // per-producer FIFO cursor
+  while (count < kTotal) {
+    const std::optional<int> item = box.try_pop();
+    if (!item) {
+      std::this_thread::yield();
+      continue;
     }
-  });
+    const auto p = static_cast<std::size_t>(*item / kItemsPerProducer);
+    if (*item % kItemsPerProducer != next[p]) ++reordered;
+    ++next[p];
+    sum += *item;
+    ++count;
+  }
   for (auto& t : producers) t.join();
   box.close();
-  consumer.join();
 
-  constexpr int kTotal = kProducers * kItemsPerProducer;
-  EXPECT_EQ(count, kTotal);
+  EXPECT_EQ(reordered, 0);
   EXPECT_EQ(sum, static_cast<std::int64_t>(kTotal) * (kTotal - 1) / 2);
-  EXPECT_EQ(box.size(), 0u);
-}
-
-TEST(MailboxStress, ManyProducersManyRandomConsumers) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kItemsPerProducer = 1500;
-  runtime::Mailbox<int> box;
-  std::atomic<int> consumed{0};
-  std::atomic<std::int64_t> sum{0};
-
-  std::vector<std::thread> consumers;
-  consumers.reserve(kConsumers);
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&box, &consumed, &sum, c] {
-      support::Rng rng(static_cast<std::uint64_t>(c) + 1);
-      while (auto item = box.pop_random(rng)) {
-        sum.fetch_add(*item, std::memory_order_relaxed);
-        consumed.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&box, p] {
-      for (int i = 0; i < kItemsPerProducer; ++i) {
-        box.push(p * kItemsPerProducer + i);
-      }
-    });
-  }
-
-  for (auto& t : producers) t.join();
-  box.close();
-  for (auto& t : consumers) t.join();
-
-  constexpr int kTotal = kProducers * kItemsPerProducer;
-  EXPECT_EQ(consumed.load(), kTotal);
-  EXPECT_EQ(sum.load(), static_cast<std::int64_t>(kTotal) * (kTotal - 1) / 2);
-}
-
-TEST(MailboxStress, CloseRacesWithBlockedConsumers) {
-  // Consumers park on an empty mailbox; close() must wake every one of them
-  // exactly into the nullopt path. Repeat to sample many interleavings.
-  for (int round = 0; round < 50; ++round) {
-    runtime::Mailbox<int> box;
-    std::atomic<int> finished{0};
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < 3; ++c) {
-      consumers.emplace_back([&box, &finished] {
-        while (box.pop().has_value()) {
-        }
-        finished.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    box.push(1);
-    box.push(2);
-    box.close();
-    for (auto& t : consumers) t.join();
-    EXPECT_EQ(finished.load(), 3);
-  }
+  EXPECT_EQ(box.try_pop(), std::nullopt);  // nothing delivered twice
+  EXPECT_FALSE(box.try_push(-1));          // closed: refused
+  EXPECT_EQ(box.try_pop(), std::nullopt);
 }
 
 // --- RingMailbox storms -----------------------------------------------------
@@ -325,11 +278,164 @@ TEST(RingMailboxStress, TryPushAfterCloseReturnsFalseAndDrains) {
 
 TEST(LockRank, NoRankedLocksHeldOutsideCriticalSections) {
   runtime::Mailbox<int> box;
-  box.push(1);
-  EXPECT_EQ(box.pop(), std::optional<int>{1});
+  EXPECT_TRUE(box.try_push(1));
+  EXPECT_EQ(box.try_pop(), std::optional<int>{1});
+  EXPECT_EQ(box.try_pop(), std::nullopt);
+  box.close();
+  EXPECT_FALSE(box.try_push(2));
   // Every Mailbox operation must fully release the ranked mutex before
   // returning; a leak here would poison rank checks for the whole thread.
   EXPECT_EQ(support::detail::held_count(), 0u);
+}
+
+// --- EventCount -------------------------------------------------------------
+
+constexpr std::chrono::seconds kNoLostNotify{10};
+
+runtime::EventCount::Clock::time_point deadline_in(
+    std::chrono::milliseconds span) {
+  return runtime::EventCount::Clock::now() + span;
+}
+
+// One storm wait. A wait that reaches its deadline counts as timed out even
+// if ready() held at the last look: a lost notify shows up as exactly that.
+template <typename Ready>
+bool waited_in_time(runtime::EventCount& ec, const Ready& ready) {
+  const auto deadline = deadline_in(kNoLostNotify);
+  return ec.wait_until(ready, deadline) &&
+         runtime::EventCount::Clock::now() < deadline;
+}
+
+TEST(EventCount, ReturnsReadinessAtTheDeadline) {
+  runtime::EventCount ec;
+  EXPECT_TRUE(ec.wait_until([] { return true; }, deadline_in(kWaitCeiling)));
+  const auto start = runtime::EventCount::Clock::now();
+  EXPECT_FALSE(ec.wait_until([] { return false; },
+                             deadline_in(std::chrono::milliseconds(5))));
+  EXPECT_GE(runtime::EventCount::Clock::now() - start,
+            std::chrono::milliseconds(5));
+  ec.notify();  // no waiter registered: a fence and a load, nothing else
+  EXPECT_EQ(support::detail::held_count(), 0u);
+}
+
+TEST(EventCountStress, RelayStormNeverLosesANotify) {
+  // Threads pass a baton around a ring through ONE shared EventCount: each
+  // waits for its turn, publishes the next turn, then notifies. Every
+  // notify races the other threads' registrations, re-checks and sleeps,
+  // and exactly one waiter can make progress, so a notify lost between a
+  // waiter's re-check and its sleep stalls the relay until that waiter's
+  // 10 s deadline - and the test counts it. No backstop hides it.
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kTurnsEach = 2000;
+  runtime::EventCount ec;
+  std::atomic<std::uint64_t> turn{0};
+  std::atomic<int> timeouts{0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t k = 0; k < kTurnsEach; ++k) {
+        const std::uint64_t mine = k * kThreads + t;
+        if (!waited_in_time(ec, [&turn, mine] {
+              return turn.load(std::memory_order_acquire) == mine;
+            })) {
+          timeouts.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+        turn.store(mine + 1, std::memory_order_release);
+        ec.notify();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_EQ(turn.load(), kThreads * kTurnsEach);
+}
+
+TEST(EventCountStress, PingPongRacesEveryStepOfAWait) {
+  // The waiter pings a spinning peer and waits for the reply. Both sides
+  // spin a random few hundred nanoseconds first (the waiter before calling
+  // wait_until, the peer before publishing), so across the rounds the
+  // peer's publish and notify land at every point of the waiter's
+  // registration, re-check of ready() and sleep. Each of those races must
+  // end with the waiter seeing the reply, never with a sleep to the
+  // deadline.
+  constexpr std::uint64_t kRounds = 10000;
+  std::atomic<std::uint64_t> sink{0};
+  const auto spin = [&sink](std::uint64_t n) {
+    for (; n > 0; --n) (void)sink.load(std::memory_order_relaxed);
+  };
+  runtime::EventCount ec;
+  std::atomic<std::uint64_t> ping{0};
+  std::atomic<std::uint64_t> pong{0};
+  std::atomic<bool> stop{false};
+  std::thread peer([&] {
+    support::Rng rng(17);
+    for (std::uint64_t i = 1; i <= kRounds; ++i) {
+      for (int spins = 0; ping.load(std::memory_order_acquire) < i; ++spins) {
+        if (stop.load(std::memory_order_relaxed)) return;
+        if (spins > 64) std::this_thread::yield();
+      }
+      spin(rng.next_below(512));
+      pong.store(i, std::memory_order_release);
+      ec.notify();
+    }
+  });
+  int timeouts = 0;
+  support::Rng rng(29);
+  for (std::uint64_t i = 1; i <= kRounds && timeouts == 0; ++i) {
+    ping.store(i, std::memory_order_release);
+    spin(rng.next_below(512));
+    if (!waited_in_time(ec, [&pong, i] {
+          return pong.load(std::memory_order_acquire) >= i;
+        })) {
+      ++timeouts;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  peer.join();
+  EXPECT_EQ(timeouts, 0);
+}
+
+TEST(EventCountStress, ProducerStormWakesEveryWaiter) {
+  // Producers publish counter increments and notify; waiters chase
+  // staggered targets, so registrations, fast-path notifies and slow-path
+  // wakes all interleave. A waiter whose target was published must never
+  // sleep to its deadline.
+  constexpr int kProducers = 3;
+  constexpr int kWaiters = 3;
+  constexpr std::uint64_t kPerProducer = 3000;
+  constexpr std::uint64_t kTotal = kProducers * kPerProducer;
+  runtime::EventCount ec;
+  std::atomic<std::uint64_t> published{0};
+  std::atomic<int> timeouts{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWaiters; ++w) {
+    threads.emplace_back([&, w] {
+      for (std::uint64_t target = 1 + static_cast<std::uint64_t>(w);
+           target <= kTotal; target += 7) {
+        if (!waited_in_time(ec, [&published, target] {
+              return published.load(std::memory_order_acquire) >= target;
+            })) {
+          timeouts.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+      }
+    });
+  }
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        published.fetch_add(1, std::memory_order_release);
+        ec.notify();
+        if ((i + static_cast<std::uint64_t>(p)) % 64 == 0) {
+          std::this_thread::yield();  // let waiters park between bursts
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_EQ(published.load(), kTotal);
 }
 
 TEST(ActorSystemStress, RequestStormAllSatisfied) {
@@ -340,7 +446,7 @@ TEST(ActorSystemStress, RequestStormAllSatisfied) {
   constexpr NodeId kNodes = 10;
   const auto g = graph::make_ring(kNodes);
   auto policy = proto::make_policy(proto::PolicyKind::kIvy);
-  runtime::ActorOptions options;
+  Options options;
   options.seed = 101;
   options.reorder_mailboxes = true;
   options.max_jitter = std::chrono::microseconds(20);
@@ -377,7 +483,7 @@ TEST(ActorSystemStress, ConstructStormShutdownChurn) {
   const auto g = graph::make_grid(3, 3);
   auto policy = proto::make_policy(proto::PolicyKind::kArrow);
   for (int round = 0; round < 8; ++round) {
-    runtime::ActorOptions options;
+    Options options;
     options.seed = static_cast<std::uint64_t>(round) + 1;
     options.reorder_mailboxes = (round % 2 == 0);
     runtime::ActorSystem system(g, proto::from_tree(graph::bfs_tree(g, 4)),
@@ -394,12 +500,12 @@ TEST(ActorSystemStress, ConstructStormShutdownChurn) {
 }
 
 TEST(ActorSystemStress, ParkWakeChurnWithTinyRings) {
-  // Targets the orderings the PR-9 atomic audit weakened on purpose: the
-  // relaxed eventcount phase word behind the two seq_cst Dekker fences
-  // (worker park vs producer wake), the release-only overflow_nonempty
-  // flag, and the relaxed request/satisfied counters. Tiny rings force
-  // overflow spills through the cold Mailbox valve, and deliberate idle
-  // gaps between volleys force real park/wake cycles instead of a
+  // Targets the orderings the atomic contracts keep weak on purpose: the
+  // EventCount's relaxed waiter count behind its two seq_cst Dekker fences
+  // (worker park vs producer notify), the release-only overflow_nonempty
+  // flag, and the release/acquire per-worker satisfied counters. Tiny rings
+  // force overflow spills through the cold Mailbox valve, and deliberate
+  // idle gaps between volleys force real park/wake cycles instead of a
   // saturated pipeline - exactly the schedules where a missing fence or a
   // too-weak store would lose a wakeup (deadlock) or a frame (count
   // mismatch). Run under TSan, this is the regression net for the
@@ -407,7 +513,7 @@ TEST(ActorSystemStress, ParkWakeChurnWithTinyRings) {
   constexpr NodeId kNodes = 12;
   const auto g = graph::make_ring(kNodes);
   auto policy = proto::make_policy(proto::PolicyKind::kIvy);
-  runtime::ActorOptions options;
+  Options options;
   options.seed = 907;
   options.workers = 2;       // nodes share workers: cross-worker wakes
   options.ring_capacity = 2; // minimum: nearly every burst spills overflow
@@ -434,7 +540,7 @@ TEST(ActorSystemStress, ParkWakeChurnWithTinyRings) {
             static_cast<std::uint64_t>(round + 1) * kPerSubmitter *
             kSubmitters;
         // Wait for the cumulative cross-thread count, then go idle long
-        // enough for every worker to park on the eventcount.
+        // enough for every worker to park on its EventCount.
         ASSERT_TRUE(system.wait_for_satisfied_for(target, kWaitCeiling))
             << "liveness regression: stuck at " << system.satisfied_count()
             << " of " << target;
@@ -459,12 +565,13 @@ TEST(ActorSystemStress, ParkWakeChurnWithTinyRings) {
 }
 
 TEST(ActorSystemStress, ConcurrentWaitersAllWake) {
-  // Several threads block in wait_for_satisfied while requests trickle in;
-  // every waiter must wake (no lost notifications in the CV protocol).
+  // Several threads block in wait_for_satisfied_for while requests trickle
+  // in; every waiter must wake (no lost notification on the progress
+  // EventCount).
   constexpr NodeId kNodes = 8;
   const auto g = graph::make_ring(kNodes);
   auto policy = proto::make_policy(proto::PolicyKind::kBridge);
-  runtime::ActorOptions options;
+  Options options;
   options.seed = 31;
   runtime::ActorSystem system(g, proto::ring_bridge_config(kNodes), *policy,
                               options);
@@ -474,8 +581,9 @@ TEST(ActorSystemStress, ConcurrentWaitersAllWake) {
   std::vector<std::thread> waiters;
   for (int w = 0; w < 4; ++w) {
     waiters.emplace_back([&system, &woke] {
-      system.wait_for_satisfied(kTarget);
-      woke.fetch_add(1, std::memory_order_relaxed);
+      if (system.wait_for_satisfied_for(kTarget, kWaitCeiling)) {
+        woke.fetch_add(1, std::memory_order_relaxed);
+      }
     });
   }
   for (NodeId v : {1u, 2u, 3u, 5u, 6u, 7u}) {
@@ -486,6 +594,93 @@ TEST(ActorSystemStress, ConcurrentWaitersAllWake) {
   EXPECT_EQ(woke.load(), 4);
   system.shutdown();
   EXPECT_GE(system.satisfied_count(), kTarget);
+}
+
+// --- kLive DirectoryService --------------------------------------------------
+
+TEST(ServiceLiveStress, ObserverWritesAreVisibleRightAfterDrain) {
+  // The satisfied observer appends to plain vectors (one per shard, so each
+  // has one writer: that shard's worker) and the client reads them right
+  // after drain() - no shutdown, no join, no lock. On odd rounds the client
+  // first polls processed_count() until the volley is done, so drain()
+  // returns without ever sleeping and no notifier takes the EventCount's
+  // mutex: the acquire sum of the per-shard processed counters is then the
+  // only edge ordering the appends before the reads, and TSan reports the
+  // race if it is missing. Even rounds drain while the shards still work.
+  const auto g = graph::make_grid(3, 3);
+  constexpr std::size_t kObjects = 48;
+  DirectoryService service(g, kObjects, 3,
+                           {.policy = proto::PolicyKind::kIvy, .seed = 9},
+                           ServiceMode::kLive);
+  std::vector<std::vector<service::ObjectId>> seen(service.shard_count());
+  service.on_satisfied(
+      [&](service::ObjectId object, const proto::RequestRecord&) {
+        seen[service.route(object)].push_back(object);
+      });
+
+  std::vector<std::vector<service::ObjectId>> expected(service.shard_count());
+  support::Rng rng(41);
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      const auto object =
+          static_cast<service::ObjectId>(rng.next_below(kObjects));
+      service.acquire(object,
+                      static_cast<NodeId>(rng.next_below(g.node_count())));
+      expected[service.route(object)].push_back(object);
+    }
+    if (round % 2 == 1) {
+      while (service.processed_count() < service.submitted_count()) {
+        std::this_thread::yield();
+      }
+    }
+    ASSERT_TRUE(service.drain(kWaitCeiling)) << "round " << round;
+    // One client thread: each shard satisfies its requests in admission
+    // order, so every vector equals its shard's admission log.
+    for (std::size_t s = 0; s < seen.size(); ++s) {
+      ASSERT_EQ(seen[s], expected[s]) << "shard " << s << ", round " << round;
+    }
+  }
+  service.shutdown();
+}
+
+TEST(ServiceLiveStress, AcquireAndWaitThreadsAndADrainerAllReturn) {
+  // Several clients block in acquire_and_wait while one more drains in a
+  // loop: every wait on the progress EventCount must return, whichever
+  // shard's notify it needed.
+  const auto g = graph::make_grid(3, 3);
+  constexpr std::size_t kObjects = 32;
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kPerClient = 150;
+  DirectoryService service(g, kObjects, 2, {.policy = proto::PolicyKind::kIvy},
+                           ServiceMode::kLive);
+  std::atomic<std::size_t> clients_done{0};
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      support::Rng rng(200 + c);
+      for (std::size_t i = 0; i < kPerClient; ++i) {
+        const auto object =
+            static_cast<service::ObjectId>(rng.next_below(kObjects));
+        const std::uint64_t before = service.processed_count();
+        service.acquire_and_wait(
+            object, static_cast<NodeId>(rng.next_below(g.node_count())));
+        EXPECT_GT(service.processed_count(), before);
+      }
+      clients_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  threads.emplace_back([&] {
+    do {
+      EXPECT_TRUE(service.drain(kWaitCeiling));
+    } while (clients_done.load(std::memory_order_acquire) < kClients);
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_TRUE(service.drain(kWaitCeiling));
+  EXPECT_EQ(service.submitted_count(), kClients * kPerClient);
+  EXPECT_EQ(service.satisfied_count(), kClients * kPerClient);
+  service.shutdown();
+  const auto report = service.check_sampled();
+  EXPECT_TRUE(static_cast<bool>(report)) << report.first_failure;
 }
 
 }  // namespace

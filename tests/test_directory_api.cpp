@@ -64,7 +64,7 @@ TEST(Directory, DefaultInitCentersNonBridgePolicies) {
 
 TEST(Directory, CustomInitialConfigIsHonored) {
   const auto g = graph::make_path(5);
-  DirectoryOptions options;
+  Options options;
   options.policy = proto::PolicyKind::kArrow;
   options.initial = proto::chain_config(5);
   Directory dir(g, options);
@@ -112,7 +112,7 @@ TEST(DirectoryService_, TotalCostsAggregateAcrossShards) {
 TEST(AnyDirectoryFacade, DirectoryWorksThroughTheBaseInterface) {
   const auto g = graph::make_ring(8);
   std::unique_ptr<AnyDirectory> dir =
-      std::make_unique<Directory>(g, DirectoryOptions{});
+      std::make_unique<Directory>(g, Options{});
   EXPECT_EQ(dir->node_count(), 8u);
   const auto id = dir->acquire(3);
   EXPECT_GT(id, 0u);
@@ -177,7 +177,7 @@ TEST(DirectoryObservers, EventHookSeesAConsistentDirectoryAfterEveryEvent) {
   EXPECT_GT(events, 0u);
 }
 
-TEST(DirectoryOptions_, DesignatedInitCoversTheWholeSurface) {
+TEST(Options_, DesignatedInitCoversTheWholeSurface) {
   const auto g = graph::make_ring(8);
   // The Quickstart's "with faults and retries" form, verbatim shape.
   Directory dir(g, {

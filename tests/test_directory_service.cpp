@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdint>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -39,10 +38,6 @@ std::vector<ObjectRequest> make_volley(std::size_t objects, std::size_t nodes,
   }
   return volley;
 }
-
-// The unified-options satellite, pinned: the old names are the new type.
-static_assert(std::is_same_v<DirectoryOptions, Options>);
-static_assert(std::is_same_v<LiveOptions, Options>);
 
 TEST(ServiceDeterminism, SameSeedSameVolleySameTotals) {
   const auto g = graph::make_grid(3, 3);
@@ -183,6 +178,34 @@ TEST(ServiceLive, AcquireAndWaitBlocksUntilProcessed) {
   }
   service.shutdown();
   EXPECT_EQ(service.satisfied_count(), 8u);
+}
+
+// Bad input is rejected on the caller's thread, at the call that carries it.
+// Each service is built inside the death statement so its workers exist in
+// the child process that is expected to die.
+
+TEST(ServiceDeath, LiveServiceRejectsAZeroBatch) {
+  const auto g = graph::make_ring(6);
+  Options options{.policy = proto::PolicyKind::kIvy};
+  options.batch_size = 0;  // a shard worker would spin on its ring forever
+  EXPECT_DEATH(
+      {
+        DirectoryService service(g, 4, 2, options, ServiceMode::kLive);
+      },
+      "batch_size >= 1");
+}
+
+TEST(ServiceDeath, SubmitBatchChecksEveryNodeBeforeAdmitting) {
+  const auto g = graph::make_ring(6);
+  const std::vector<ObjectRequest> batch{{0, 1, 0}, {1, 99, 0}, {2, 3, 0}};
+  EXPECT_DEATH(
+      {
+        DirectoryService service(g, 4, 2, {.policy = proto::PolicyKind::kIvy},
+                                 ServiceMode::kLive);
+        (void)service.submit_batch(batch);
+        (void)service.drain(std::chrono::milliseconds(10'000));
+      },
+      "submit_batch: request node out of range");
 }
 
 TEST(ServiceFaults, PlansScopeToTheirShards) {

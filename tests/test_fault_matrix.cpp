@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,13 @@ struct Scenario {
   std::string name;
   faults::FaultPlan faults;
 };
+
+// gtest's fallback printer dumps a parameter's raw bytes, and a Scenario's
+// first bytes are its std::string's heap pointer: the discovered ctest name
+// would change from run to run. Print the scenario's name instead.
+void PrintTo(const Scenario& scenario, std::ostream* os) {
+  *os << scenario.name;
+}
 
 std::vector<Scenario> scenarios() {
   std::vector<Scenario> out;
@@ -171,11 +179,10 @@ TEST_P(LiveFaultMatrix, LiveDirectoryDrainsAllSatisfied) {
   const auto g = graph::make_ring(8);
   // Compress wall time: one sim-time unit = 50us, so pause/storm windows
   // and retransmission backoffs finish in milliseconds.
-  LiveDirectory dir(g,
-                    {.policy = proto::PolicyKind::kIvy,
-                     .seed = 19,
-                     .faults = scenario.faults},
-                    {.fault_time_unit = std::chrono::microseconds(50)});
+  LiveDirectory dir(g, {.policy = proto::PolicyKind::kIvy,
+                        .seed = 19,
+                        .faults = scenario.faults,
+                        .fault_time_unit = std::chrono::microseconds(50)});
   for (int round = 0; round < 5; ++round) {
     for (NodeId v = 0; v < g.node_count(); ++v) {
       dir.acquire_and_wait(v);
@@ -219,8 +226,8 @@ TEST(LiveFaultStress, RetriesRacingShutdown) {
                                   .seed = 55},
                        // Long backoffs guarantee retries are still pending
                        // at shutdown time.
-                       .retry = {.rto = 2000.0, .backoff = 2.0}},
-                      {.fault_time_unit = std::chrono::microseconds(200)});
+                       .retry = {.rto = 2000.0, .backoff = 2.0},
+                       .fault_time_unit = std::chrono::microseconds(200)});
     for (NodeId v = 0; v < g.node_count(); ++v) dir.acquire(v);
     // Shut down immediately: in-flight deferrals race the teardown.
     dir.shutdown();
@@ -230,11 +237,10 @@ TEST(LiveFaultStress, RetriesRacingShutdown) {
 
 TEST(LiveFaultStress, DuplicatedTokensNeverForkTheTokenLive) {
   const auto g = graph::make_complete(6);
-  LiveDirectory dir(g,
-                    {.policy = proto::PolicyKind::kIvy,
-                     .seed = 77,
-                     .faults = {.duplicate = 0.5, .seed = 88}},
-                    {.fault_time_unit = std::chrono::microseconds(50)});
+  LiveDirectory dir(g, {.policy = proto::PolicyKind::kIvy,
+                        .seed = 77,
+                        .faults = {.duplicate = 0.5, .seed = 88},
+                        .fault_time_unit = std::chrono::microseconds(50)});
   for (int round = 0; round < 10; ++round) {
     for (NodeId v = 0; v < g.node_count(); ++v) dir.acquire_and_wait(v);
   }
@@ -251,9 +257,10 @@ TEST(LiveFaultStress, DuplicatedTokensNeverForkTheTokenLive) {
 
 TEST(AnyDirectory, SameCodeDrivesBothTransports) {
   const auto g = graph::make_ring(8);
-  const DirectoryOptions options = {.policy = proto::PolicyKind::kIvy,
-                                    .seed = 5,
-                                    .faults = {.drop_find = 0.05, .seed = 2}};
+  const Options options = {.policy = proto::PolicyKind::kIvy,
+                           .seed = 5,
+                           .faults = {.drop_find = 0.05, .seed = 2},
+                           .fault_time_unit = std::chrono::microseconds(50)};
   auto drive = [&](AnyDirectory& dir) {
     for (NodeId v = 0; v < g.node_count(); ++v) dir.acquire_and_wait(v);
     EXPECT_TRUE(dir.drain());
@@ -264,8 +271,7 @@ TEST(AnyDirectory, SameCodeDrivesBothTransports) {
   };
   Directory sim_dir(g, options);
   drive(sim_dir);
-  LiveDirectory live_dir(g, options,
-                         {.fault_time_unit = std::chrono::microseconds(50)});
+  LiveDirectory live_dir(g, options);
   drive(live_dir);
   live_dir.shutdown();
 }

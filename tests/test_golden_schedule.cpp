@@ -158,7 +158,7 @@ TEST(GoldenSchedule, ZeroFaultPlanIsAStrictNoOp) {
   EXPECT_EQ(engine.unsatisfied_count(), 0u);
 }
 
-// A facade-level run: schedule recorded through DirectoryOptions, plus the
+// A facade-level run: schedule recorded through arvy::Options, plus the
 // satisfaction order, so the golden pins the whole observable outcome.
 struct FacadeRun {
   sim::Schedule schedule;

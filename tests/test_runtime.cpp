@@ -2,8 +2,10 @@
 // protocol core under real OS-scheduler asynchrony.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -25,31 +27,22 @@ constexpr std::chrono::milliseconds kWait{120000};
 
 TEST(Mailbox, PushPopFifoSingleThread) {
   runtime::Mailbox<int> box;
-  box.push(1);
-  box.push(2);
-  EXPECT_EQ(box.size(), 2u);
-  EXPECT_EQ(box.pop(), std::optional<int>{1});
-  EXPECT_EQ(box.pop(), std::optional<int>{2});
+  EXPECT_EQ(box.try_pop(), std::nullopt);
+  EXPECT_TRUE(box.try_push(1));
+  EXPECT_TRUE(box.try_push(2));
+  EXPECT_EQ(box.try_pop(), std::optional<int>{1});
+  EXPECT_EQ(box.try_pop(), std::optional<int>{2});
+  EXPECT_EQ(box.try_pop(), std::nullopt);
 }
 
 TEST(Mailbox, CloseDrainsThenSignalsEnd) {
   runtime::Mailbox<int> box;
-  box.push(7);
+  EXPECT_TRUE(box.try_push(7));
   box.close();
-  EXPECT_EQ(box.pop(), std::optional<int>{7});
-  EXPECT_EQ(box.pop(), std::nullopt);
-}
-
-TEST(Mailbox, CrossThreadHandoff) {
-  runtime::Mailbox<int> box;
-  std::thread producer([&] {
-    for (int i = 0; i < 100; ++i) box.push(i);
-    box.close();
-  });
-  int count = 0;
-  while (box.pop().has_value()) ++count;
-  producer.join();
-  EXPECT_EQ(count, 100);
+  // Closed: new items are refused, items pushed before still drain.
+  EXPECT_FALSE(box.try_push(8));
+  EXPECT_EQ(box.try_pop(), std::optional<int>{7});
+  EXPECT_EQ(box.try_pop(), std::nullopt);
 }
 
 TEST(ActorSystem, SingleRequestMovesToken) {
@@ -67,7 +60,7 @@ TEST(ActorSystem, SingleRequestMovesToken) {
 TEST(ActorSystem, SequentialRoundsAllSatisfied) {
   const auto g = graph::make_grid(3, 3);
   auto policy = proto::make_policy(proto::PolicyKind::kArrow);
-  runtime::ActorOptions options;
+  Options options;
   options.seed = 3;
   runtime::ActorSystem system(g, proto::from_tree(graph::bfs_tree(g, 4)),
                               *policy, options);
@@ -89,7 +82,7 @@ TEST(ActorSystem, ConcurrentBurstWithJitterStaysCorrect) {
   // pointers must form a valid rooted tree with exactly one token.
   const auto g = graph::make_ring(8);
   auto policy = proto::make_policy(proto::PolicyKind::kIvy);
-  runtime::ActorOptions options;
+  Options options;
   options.seed = 11;
   options.max_jitter = std::chrono::microseconds(150);
   runtime::ActorSystem system(g, proto::ring_bridge_config(8), *policy,
@@ -119,7 +112,7 @@ TEST(ActorSystem, ConcurrentBurstWithJitterStaysCorrect) {
 TEST(ActorSystem, BridgePolicyStressRounds) {
   const auto g = graph::make_ring(10);
   auto policy = proto::make_policy(proto::PolicyKind::kBridge);
-  runtime::ActorOptions options;
+  Options options;
   options.seed = 17;
   options.max_jitter = std::chrono::microseconds(50);
   runtime::ActorSystem system(g, proto::ring_bridge_config(10), *policy,
@@ -164,7 +157,7 @@ TEST(ActorSystem, ReorderedMailboxesStayCorrect) {
   // eventual delivery).
   const auto g = graph::make_ring(8);
   auto policy = proto::make_policy(proto::PolicyKind::kIvy);
-  runtime::ActorOptions options;
+  Options options;
   options.seed = 23;
   options.reorder_mailboxes = true;
   runtime::ActorSystem system(g, proto::ring_bridge_config(8), *policy,
@@ -200,7 +193,7 @@ TEST(ActorSystem, WorkerPoolConfigsStayCorrect) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
-      runtime::ActorOptions options;
+      Options options;
       options.seed = 41 + workers;
       options.workers = workers;
       options.batch_size = batch;
@@ -230,6 +223,19 @@ TEST(ActorSystem, WorkerPoolConfigsStayCorrect) {
   }
 }
 
+TEST(ActorSystem, WorkerCountDefaultsToHardwareThreadsClampedToNodes) {
+  const auto g = graph::make_ring(6);
+  auto policy = proto::make_policy(proto::PolicyKind::kIvy);
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  EXPECT_EQ(Options{}.workers, hardware);
+  runtime::ActorSystem defaulted(g, proto::ring_bridge_config(6), *policy);
+  EXPECT_EQ(defaulted.worker_count(), std::min<std::size_t>(hardware, 6));
+  runtime::ActorSystem oversized(g, proto::ring_bridge_config(6), *policy,
+                                 {.workers = 64});
+  EXPECT_EQ(oversized.worker_count(), 6u);
+}
+
 TEST(LiveDirectory, SingleWorkerModeIsDeterministic) {
   // Reorder-semantics guard: with one worker, no jitter and a sequential
   // submission pattern, the threaded runtime has exactly one schedule. Two
@@ -238,12 +244,11 @@ TEST(LiveDirectory, SingleWorkerModeIsDeterministic) {
   // semantics shows up as a diff here, not as a flaky stress test.
   const auto run_once = [] {
     const auto g = graph::make_ring(12);
-    DirectoryOptions options;
+    Options options;
     options.policy = proto::PolicyKind::kIvy;
     options.seed = 7;
-    LiveOptions live;
-    live.workers = 1;
-    LiveDirectory dir(g, options, live);
+    options.workers = 1;
+    LiveDirectory dir(g, options);
     support::Rng rng(13);
     for (int i = 0; i < 30; ++i) {
       dir.acquire_and_wait(static_cast<NodeId>(rng.next_below(12)));
@@ -270,6 +275,17 @@ TEST(ActorSystemDeath, InspectingLiveCoresAborts) {
   runtime::ActorSystem system(g, proto::chain_config(3), *policy);
   EXPECT_DEATH((void)system.node(0), "shutdown");
   system.shutdown();
+}
+
+TEST(ActorSystemDeath, ZeroWorkersIsRejected) {
+  const auto g = graph::make_path(3);
+  auto policy = proto::make_policy(proto::PolicyKind::kArrow);
+  EXPECT_DEATH(
+      {
+        runtime::ActorSystem system(g, proto::chain_config(3), *policy,
+                                    {.workers = 0});
+      },
+      "workers >= 1");
 }
 
 }  // namespace

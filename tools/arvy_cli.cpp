@@ -227,7 +227,7 @@ void add_fault_rows(support::Table& table, const faults::FaultStats& stats) {
 // clock. The simulator path stays the place for invariant checking and OPT
 // comparisons; this one demonstrates the same plan surviving real threads.
 int cmd_run_live(const Flags& flags, const graph::Graph& g,
-                 const DirectoryOptions& options,
+                 const Options& options,
                  const std::vector<NodeId>& sequence) {
   LiveDirectory directory(g, options);
   for (NodeId v : sequence) directory.acquire_and_wait(v);
@@ -266,7 +266,7 @@ int cmd_run(const Flags& flags) {
   const std::size_t count = std::stoul(flags.require("requests"));
   support::Rng rng(seed + 100);
 
-  DirectoryOptions options;
+  Options options;
   options.policy = policy_kind;
   options.seed = seed;
   if (auto spec = flags.get("faults"); spec.has_value()) {
