@@ -53,6 +53,8 @@ def context_summary(context):
         "mhz_per_cpu": context.get("mhz_per_cpu"),
         "cpu_scaling_enabled": context.get("cpu_scaling_enabled"),
         "library_build_type": context.get("library_build_type"),
+        "arvy_build_type": context.get("arvy_build_type"),
+        "arvy_git_sha": context.get("arvy_git_sha"),
         "date": context.get("date"),
     }
 

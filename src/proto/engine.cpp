@@ -19,6 +19,10 @@ sim::MessageBus<Message>::Options bus_options(SimEngine::Options& options) {
   return out;
 }
 
+bool bridge_bit(std::span<const std::uint64_t> words, NodeId v) {
+  return ((words[v / 64] >> (v % 64)) & 1U) != 0;
+}
+
 }  // namespace
 
 SimEngine::SimEngine(const graph::Graph& g, const InitialConfig& init,
@@ -42,6 +46,8 @@ SimEngine::SimEngine(const graph::Graph& g, const InitialConfig& init,
     cores_.back().set_auto_send_token(auto_send_token);
   }
   queued_.resize(g.node_count());
+  tree_scratch_.resize(g.node_count());
+  bridge_scratch_.resize(bridge_words(g.node_count()));
   bus_.set_handler([this](const sim::MessageBus<Message>::InFlight& entry) {
     on_delivery(entry);
   });
@@ -170,41 +176,85 @@ void SimEngine::run_concurrent(std::span<const TimedRequest> requests) {
   run_until_idle();
 }
 
-bool SimEngine::park_state(InitialConfig& out) const {
-  ARVY_EXPECTS_MSG(bus_.idle(), "park_state requires a quiescent bus");
+ARVY_HOT bool SimEngine::park_row(std::span<NodeId> parents,
+                                  std::span<std::uint64_t> bridges) const {
+  ARVY_EXPECTS_MSG(bus_.idle(), "park requires a quiescent bus");
   const std::size_t n = cores_.size();
-  out.parent.resize(n);
-  out.parent_edge_is_bridge.assign(n, false);
-  out.root = graph::kInvalidNode;
+  ARVY_EXPECTS(parents.size() == n);
+  ARVY_EXPECTS(bridges.empty() || bridges.size() == bridge_words(n));
+  std::fill(bridges.begin(), bridges.end(), std::uint64_t{0});
+  NodeId root = graph::kInvalidNode;
   bool resumable = true;
   for (NodeId v = 0; v < n; ++v) {
     const ArvyCore& core = cores_[v];
-    out.parent[v] = core.parent();
-    out.parent_edge_is_bridge[v] = core.parent_edge_is_bridge();
-    if (core.holds_token()) out.root = v;
+    parents[v] = core.parent();
+    if (!bridges.empty() && core.parent_edge_is_bridge()) {
+      bridges[v / 64] |= std::uint64_t{1} << (v % 64);
+    }
+    if (core.holds_token()) root = v;
     // A node still waiting on a permanently lost find has p(v) == v without
     // the token - not a tree; the object must be re-seeded.
     if (core.outstanding().has_value()) resumable = false;
   }
-  return resumable && out.root != graph::kInvalidNode && out.is_valid_tree();
+  return resumable && is_rooted_tree(parents, root, tree_scratch_);
 }
 
-void SimEngine::adopt_state(const InitialConfig& next, std::uint64_t seed) {
-  ARVY_EXPECTS_MSG(bus_.idle(), "adopt_state requires a quiescent bus");
-  ARVY_EXPECTS(next.node_count() == cores_.size());
-  ARVY_EXPECTS_MSG(next.is_valid_tree(),
+ARVY_HOT void SimEngine::adopt_row(std::span<const NodeId> parents,
+                                   std::span<const std::uint64_t> bridges,
+                                   std::uint64_t seed) {
+  ARVY_EXPECTS_MSG(bus_.idle(), "adopt requires a quiescent bus");
+  const std::size_t n = cores_.size();
+  ARVY_EXPECTS(parents.size() == n);
+  ARVY_EXPECTS(bridges.empty() || bridges.size() == bridge_words(n));
+  NodeId root = 0;
+  while (root < n && parents[root] != root) ++root;
+  ARVY_EXPECTS_MSG(is_rooted_tree(parents, root, tree_scratch_),
                    "adopted parent pointers must form a rooted tree");
-  for (NodeId v = 0; v < cores_.size(); ++v) {
-    cores_[v].reinitialize(next.parent[v], v == next.root,
-                           next.parent_edge_is_bridge[v]);
+  for (NodeId v = 0; v < n; ++v) {
+    cores_[v].reinitialize(parents[v], v == root,
+                           !bridges.empty() && bridge_bit(bridges, v));
+    queued_[v].clear();
   }
-  for (auto& queue : queued_) queue.clear();
   requests_.clear();
   costs_ = {};
   satisfied_count_ = 0;
   // Same mixing as the constructor: adopting with the seed a standalone
   // engine was constructed with replays its policy draws exactly.
   policy_rng_ = support::Rng(seed ^ 0x9e3779b97f4a7c15ULL);
+}
+
+bool SimEngine::park_state(InitialConfig& out) const {
+  const std::size_t n = cores_.size();
+  out.parent.resize(n);
+  out.parent_edge_is_bridge.resize(n);
+  const bool resumable = park_row(out.parent, bridge_scratch_);
+  out.root = graph::kInvalidNode;
+  for (NodeId v = 0; v < n; ++v) {
+    out.parent_edge_is_bridge[v] = bridge_bit(bridge_scratch_, v);
+    if (out.parent[v] == v) out.root = v;
+  }
+  return resumable;
+}
+
+void SimEngine::adopt_state(const InitialConfig& next, std::uint64_t seed) {
+  const std::size_t n = cores_.size();
+  ARVY_EXPECTS(next.node_count() == n);
+  // The row form finds the root as the self-loop; the config names it, and
+  // the two must agree for the config to be a valid tree.
+  ARVY_EXPECTS_MSG(next.parent_edge_is_bridge.size() == n && next.root < n &&
+                       next.parent[next.root] == next.root,
+                   "adopted parent pointers must form a rooted tree");
+  pack_bridges(next.parent_edge_is_bridge, bridge_scratch_);
+  adopt_row(next.parent, bridge_scratch_, seed);
+}
+
+void pack_bridges(const std::vector<bool>& flags,
+                  std::span<std::uint64_t> words) {
+  ARVY_EXPECTS(words.size() == bridge_words(flags.size()));
+  std::fill(words.begin(), words.end(), std::uint64_t{0});
+  for (std::size_t v = 0; v < flags.size(); ++v) {
+    if (flags[v]) words[v / 64] |= std::uint64_t{1} << (v % 64);
+  }
 }
 
 std::size_t SimEngine::unsatisfied_count() const noexcept {

@@ -77,6 +77,15 @@ struct EngineOptions {
   sim::Schedule script;
 };
 
+// Bridge flags in the packed form of the park/adopt seam's rows: bit v % 64
+// of word v / 64 flags v's parent edge as Algorithm 2's bridge.
+[[nodiscard]] constexpr std::size_t bridge_words(std::size_t n) noexcept {
+  return (n + 63) / 64;
+}
+// Packs one flag per node into bridge_words(flags.size()) words.
+void pack_bridges(const std::vector<bool>& flags,
+                  std::span<std::uint64_t> words);
+
 class SimEngine {
  public:
   using Options = EngineOptions;
@@ -117,22 +126,34 @@ class SimEngine {
   // A shard engine is REUSED across the many objects it owns: the expensive
   // per-engine state (distance oracle, bus, policy clone) is shard
   // infrastructure, while the per-object protocol state (parent pointers,
-  // bridge flags, token position) is parked into a compact InitialConfig
-  // between bursts and adopted back before the next one.
+  // bridge flags, token position) is parked into the caller's row between
+  // bursts and adopted back before the next one.
   //
-  // park_state snapshots the current tree into `out` (vectors reused, no
-  // shrink). Precondition: the bus is idle. Returns false when the parked
-  // state is NOT resumable - the token was permanently lost to fault
+  // A row is n parent words - a parked tree's root holds the token and is the
+  // row's only self-loop - plus bridge_words(n) words of packed bridge flags.
+  // An empty bridge span means: record no bridges (park), no bridges (adopt).
+  // Both directions validate the whole tree with is_rooted_tree on scratch
+  // the engine owns, and neither allocates. Precondition: the bus is idle.
+  //
+  // park_row writes the current tree into the row. Returns false when the
+  // parked state is NOT resumable - the token was permanently lost to fault
   // injection or a request is still outstanding at some node - in which case
-  // the caller re-seats the object from its canonical initial tree (the
-  // documented crash-recovery semantics).
-  [[nodiscard]] bool park_state(InitialConfig& out) const;
+  // the row is unspecified and the caller re-seats the object from its
+  // canonical initial tree (the documented crash-recovery semantics).
+  [[nodiscard]] bool park_row(std::span<NodeId> parents,
+                              std::span<std::uint64_t> bridges) const;
 
-  // Re-seats every core on `next`, clears the request ledger and cost
+  // Re-seats every core on the row, clears the request ledger and cost
   // account, and reseeds the policy RNG stream with `seed` (same mixing as
   // construction, so object 0 of a service run replays a standalone engine
   // bit-for-bit). Bus time deliberately carries over: the clock is shard
-  // infrastructure. Precondition: the bus is idle.
+  // infrastructure. Aborts unless the row is a rooted tree.
+  void adopt_row(std::span<const NodeId> parents,
+                 std::span<const std::uint64_t> bridges, std::uint64_t seed);
+
+  // The same seam over a whole InitialConfig (vectors reused, no shrink):
+  // thin adapters that convert the bridge flags and call the row form.
+  [[nodiscard]] bool park_state(InitialConfig& out) const;
   void adopt_state(const InitialConfig& next, std::uint64_t seed);
 
   // --- Observers -----------------------------------------------------------
@@ -208,6 +229,10 @@ class SimEngine {
   CostAccount costs_;
   std::vector<RequestRecord> requests_;
   std::vector<std::vector<RequestId>> queued_;  // per-node waiting requests
+  // Seam scratch (n validator words, bridge_words(n) adapter words): sized at
+  // construction so park and adopt never allocate.
+  mutable std::vector<NodeId> tree_scratch_;
+  mutable std::vector<std::uint64_t> bridge_scratch_;
   std::uint64_t satisfied_count_ = 0;
   bool record_trace_ = false;
   TraceRecorder trace_;

@@ -1,6 +1,9 @@
 #include "proto/init.hpp"
 
+#include <algorithm>
+
 #include "support/assert.hpp"
+#include "support/hot.hpp"
 
 namespace arvy::proto {
 
@@ -28,18 +31,32 @@ InitialConfig oriented_path(std::size_t n, NodeId root, NodeId bridge_child) {
 }  // namespace
 
 bool InitialConfig::is_valid_tree() const {
-  if (root >= parent.size() || parent[root] != root) return false;
   if (parent_edge_is_bridge.size() != parent.size()) return false;
-  for (NodeId v = 0; v < parent.size(); ++v) {
-    if (parent[v] >= parent.size()) return false;
-    if (v != root && parent[v] == v) return false;  // only one self-loop
+  std::vector<NodeId> scratch(parent.size());
+  return is_rooted_tree(parent, root, scratch);
+}
+
+ARVY_HOT bool is_rooted_tree(std::span<const NodeId> parents, NodeId root,
+                             std::span<NodeId> scratch) noexcept {
+  const std::size_t n = parents.size();
+  ARVY_EXPECTS_MSG(scratch.size() >= n, "is_rooted_tree needs n scratch words");
+  if (root >= n || parents[root] != root) return false;
+  // scratch[v] is 0 until a walk reaches v, then that walk's id (v + 1 for
+  // the walk started at v). The root's mark is no walk's id, so a walk that
+  // meets its own id has closed a cycle (a second self-loop is one), and a
+  // walk that meets an earlier id joins a chain already known to end at
+  // the root.
+  std::fill_n(scratch.begin(), n, NodeId{0});
+  scratch[root] = graph::kInvalidNode;
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId walk = v + 1;
     NodeId u = v;
-    std::size_t steps = 0;
-    while (parent[u] != u) {
-      u = parent[u];
-      if (++steps > parent.size()) return false;  // cycle
+    while (scratch[u] == 0) {
+      scratch[u] = walk;
+      u = parents[u];
+      if (u >= n) return false;
     }
-    if (u != root) return false;
+    if (scratch[u] == walk) return false;
   }
   return true;
 }

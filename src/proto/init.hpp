@@ -6,6 +6,7 @@
 // designated bridge edge.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -21,9 +22,19 @@ struct InitialConfig {
   std::vector<bool> parent_edge_is_bridge;  // Algorithm 2 flag, default false
 
   [[nodiscard]] std::size_t node_count() const noexcept { return parent.size(); }
-  // Exactly one self-loop (the root) and every node reaches it.
+  // Exactly one self-loop (the root) and every node reaches it; one bridge
+  // flag per node. The tree check is is_rooted_tree.
   [[nodiscard]] bool is_valid_tree() const;
 };
+
+// The one rooted-tree validator: true iff `root` is a node, parents[root] ==
+// root, every parent is a node, and every parent chain reaches `root` - so
+// the root is the only self-loop and there is no cycle. One pass in O(n):
+// each node is stamped once, by the first walk that reaches it. `scratch`
+// must hold parents.size() entries and is overwritten; callers own it so
+// that validation never allocates.
+[[nodiscard]] bool is_rooted_tree(std::span<const NodeId> parents, NodeId root,
+                                  std::span<NodeId> scratch) noexcept;
 
 // Any rooted spanning tree, no bridge.
 [[nodiscard]] InitialConfig from_tree(const graph::RootedTree& tree);

@@ -40,9 +40,11 @@ void accumulate(faults::FaultStats& into, const faults::FaultStats& from) {
 // than one vector per object: at 1M objects a per-object std::vector would
 // pay 1M allocations and 24 bytes of header each; the slab pays one
 // allocation per 256 objects and stores exactly n parent words (plus a
-// bridge bitmask when the policy needs it) per object. Chunks materialize
-// lazily on first park, so a service with 1M registered but 10k touched
-// objects holds ~10k rows.
+// bridge bitmask when the policy needs it) per object. The engine parks into
+// and adopts from these rows in place (SimEngine::park_row/adopt_row). A row
+// is written from the canonical tree on first touch, so chunks materialize
+// lazily and a service with 1M registered but 10k touched objects holds
+// ~10k rows.
 struct DirectoryService::Shard {
   static constexpr std::size_t kChunk = 256;  // objects per row chunk
 
@@ -65,7 +67,6 @@ struct DirectoryService::Shard {
   // The object currently seated in the engine (nullopt right after start).
   std::optional<ObjectId> current;
   std::uint32_t current_local = 0;
-  proto::InitialConfig scratch;  // park/adopt shuttle, vectors reused
 
   // Costs of every PARKED burst; engine->costs() holds the loaded object's.
   proto::CostAccount committed;
@@ -95,20 +96,32 @@ struct DirectoryService::Shard {
   runtime::EventCount park;
 
   [[nodiscard]] std::size_t bridge_words() const noexcept {
-    return (nodes + 63) / 64;
+    return bridges_tracked ? proto::bridge_words(nodes) : 0;
   }
   [[nodiscard]] std::size_t row_bytes() const noexcept {
     return nodes * sizeof(graph::NodeId) +
-           (bridges_tracked ? bridge_words() * sizeof(std::uint64_t) : 0);
+           bridge_words() * sizeof(std::uint64_t);
   }
 
-  [[nodiscard]] const graph::NodeId* row_parents(std::uint32_t local) const {
+  // The row of local id `local` (its chunk must exist): parent words, and
+  // bridge words (empty unless bridges_tracked).
+  [[nodiscard]] std::span<graph::NodeId> row_parents(
+      std::uint32_t local) const {
     const std::size_t chunk = local / kChunk;
     ARVY_ASSERT(chunk < rows.size() && rows[chunk].parents);
-    return rows[chunk].parents.get() + (local % kChunk) * nodes;
+    return {rows[chunk].parents.get() + (local % kChunk) * nodes, nodes};
+  }
+  [[nodiscard]] std::span<std::uint64_t> row_bridges(
+      std::uint32_t local) const {
+    if (!bridges_tracked) return {};
+    return {rows[local / kChunk].bridges.get() +
+                (local % kChunk) * bridge_words(),
+            bridge_words()};
   }
 
-  void store_row(std::uint32_t local, const proto::InitialConfig& in) {
+  // Writes `tree` into the row of `local`, materializing its chunk (first
+  // touch and re-seed only).
+  void store_row(std::uint32_t local, const proto::InitialConfig& tree) {
     const std::size_t chunk = local / kChunk;
     if (chunk >= rows.size()) rows.resize(chunk + 1);
     Chunk& c = rows[chunk];
@@ -116,40 +129,13 @@ struct DirectoryService::Shard {
       c.parents = std::make_unique<graph::NodeId[]>(kChunk * nodes);
       if (bridges_tracked) {
         c.bridges = std::make_unique<std::uint64_t[]>(kChunk * bridge_words());
-        std::memset(c.bridges.get(), 0,
-                    kChunk * bridge_words() * sizeof(std::uint64_t));
       }
     }
-    graph::NodeId* row = c.parents.get() + (local % kChunk) * nodes;
-    std::memcpy(row, in.parent.data(), nodes * sizeof(graph::NodeId));
+    std::copy(tree.parent.begin(), tree.parent.end(),
+              row_parents(local).begin());
     if (bridges_tracked) {
-      std::uint64_t* bits = c.bridges.get() + (local % kChunk) * bridge_words();
-      std::memset(bits, 0, bridge_words() * sizeof(std::uint64_t));
-      for (std::size_t v = 0; v < nodes; ++v) {
-        if (in.parent_edge_is_bridge[v]) bits[v / 64] |= 1ULL << (v % 64);
-      }
+      proto::pack_bridges(tree.parent_edge_is_bridge, row_bridges(local));
     }
-  }
-
-  void load_row(std::uint32_t local, proto::InitialConfig& out) const {
-    const graph::NodeId* row = row_parents(local);
-    out.parent.assign(row, row + nodes);
-    out.parent_edge_is_bridge.assign(nodes, false);
-    out.root = graph::kInvalidNode;
-    for (std::size_t v = 0; v < nodes; ++v) {
-      if (row[v] == static_cast<graph::NodeId>(v)) {
-        out.root = static_cast<graph::NodeId>(v);
-      }
-    }
-    if (bridges_tracked) {
-      const std::uint64_t* bits =
-          rows[local / kChunk].bridges.get() + (local % kChunk) * bridge_words();
-      for (std::size_t v = 0; v < nodes; ++v) {
-        if ((bits[v / 64] >> (v % 64)) & 1ULL) out.parent_edge_is_bridge[v] = true;
-      }
-    }
-    ARVY_ASSERT_MSG(out.root != graph::kInvalidNode,
-                    "parked row lost its root self-loop");
   }
 };
 
@@ -464,7 +450,7 @@ std::optional<graph::NodeId> DirectoryService::holder(ObjectId object) const {
   if (shard.current == object) return shard.engine->token_holder();
   const auto it = shard.local_of.find(object);
   if (it == shard.local_of.end()) return canonical_config(object).root;
-  const graph::NodeId* row = shard.row_parents(it->second);
+  const std::span<const graph::NodeId> row = shard.row_parents(it->second);
   for (std::size_t v = 0; v < shard.nodes; ++v) {
     if (row[v] == static_cast<graph::NodeId>(v)) {
       return static_cast<graph::NodeId>(v);
@@ -600,24 +586,29 @@ void DirectoryService::process_request(Shard& shard, ObjectId object,
   note_progress(shard);
 }
 
-void DirectoryService::switch_object(Shard& shard, ObjectId object) {
+ARVY_HOT void DirectoryService::switch_object(Shard& shard, ObjectId object) {
   if (shard.current == object) return;
   park_loaded(shard);
-  const auto [it, inserted] = shard.local_of.try_emplace(
-      object, static_cast<std::uint32_t>(shard.owners.size()));
-  if (inserted) {
-    shard.owners.push_back(object);
-    shard.resident.fetch_add(1, std::memory_order_relaxed);
-    shard.engine->adopt_state(canonical_config(object), object_seed(object));
-  } else {
-    shard.load_row(it->second, shard.scratch);
-    shard.engine->adopt_state(shard.scratch, object_seed(object));
-  }
+  const auto it = shard.local_of.find(object);
+  const std::uint32_t local =
+      it != shard.local_of.end() ? it->second : first_touch(shard, object);
+  shard.engine->adopt_row(shard.row_parents(local), shard.row_bridges(local),
+                          object_seed(object));
   shard.current = object;
-  shard.current_local = it->second;
+  shard.current_local = local;
 }
 
-ARVY_COLD void DirectoryService::park_loaded(Shard& shard) {
+ARVY_COLD std::uint32_t DirectoryService::first_touch(Shard& shard,
+                                                      ObjectId object) {
+  const auto local = static_cast<std::uint32_t>(shard.owners.size());
+  shard.local_of.emplace(object, local);
+  shard.owners.push_back(object);
+  shard.resident.fetch_add(1, std::memory_order_relaxed);
+  shard.store_row(local, canonical_config(object));
+  return local;
+}
+
+ARVY_HOT void DirectoryService::park_loaded(Shard& shard) {
   if (!shard.current.has_value()) return;
   const proto::CostAccount& costs = shard.engine->costs();
   shard.committed.find_distance += costs.find_distance;
@@ -626,16 +617,19 @@ ARVY_COLD void DirectoryService::park_loaded(Shard& shard) {
   shard.committed.token_messages += costs.token_messages;
   shard.committed.max_visited_length =
       std::max(shard.committed.max_visited_length, costs.max_visited_length);
-  if (shard.engine->park_state(shard.scratch)) {
-    shard.store_row(shard.current_local, shard.scratch);
-  } else {
-    // The token was permanently lost to fault injection (or a find is in
-    // limbo): the documented crash-recovery semantics re-seat the object on
-    // its canonical initial tree.
-    shard.store_row(shard.current_local, canonical_config(*shard.current));
-    shard.recoveries.fetch_add(1, std::memory_order_relaxed);
+  if (!shard.engine->park_row(shard.row_parents(shard.current_local),
+                              shard.row_bridges(shard.current_local))) {
+    reseed(shard);
   }
   shard.current.reset();
+}
+
+ARVY_COLD void DirectoryService::reseed(Shard& shard) {
+  // The token was permanently lost to fault injection (or a find is in
+  // limbo): the documented crash-recovery semantics re-seat the object on
+  // its canonical initial tree.
+  shard.store_row(shard.current_local, canonical_config(*shard.current));
+  shard.recoveries.fetch_add(1, std::memory_order_relaxed);
 }
 
 void DirectoryService::flush_costs(Shard& shard) {

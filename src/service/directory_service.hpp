@@ -23,9 +23,13 @@
 //    migrates.
 //  - Each shard owns ONE discrete-event engine; the expensive per-engine
 //    state (distance oracle, bus, policy clone) is shard infrastructure.
-//    Per-object protocol state parks into a compact row (SimEngine::
-//    park_state/adopt_state) and is materialized lazily on first touch, so
-//    resident memory scales with objects actually used, not registered.
+//    Per-object protocol state lives in a compact row of the shard's slab:
+//    the engine parks into it and adopts from it in place (SimEngine::
+//    park_row/adopt_row, each validating the tree in O(n) without
+//    allocating). A row is written from the canonical tree on first touch,
+//    so resident memory scales with objects actually used, not registered,
+//    and every adoption takes the same path. The steady-state switch is
+//    ARVY_HOT; first touch and re-seed are its only cold parts.
 //  - ServiceMode::kSim processes requests inline on the caller's thread:
 //    deterministic, seedable, inspectable any time the service is quiescent.
 //    ServiceMode::kLive pins one worker thread per shard, reusing the
@@ -197,8 +201,12 @@ class DirectoryService {
   void run_shard(Shard& shard);
   bool drain_ring(Shard& shard);
   void process_request(Shard& shard, ObjectId object, graph::NodeId node);
-  void switch_object(Shard& shard, ObjectId object);
-  ARVY_COLD void park_loaded(Shard& shard);
+  // The object switch: steady state parks into and adopts from the shard's
+  // rows in place; first touch and re-seed are its only cold parts.
+  ARVY_HOT void switch_object(Shard& shard, ObjectId object);
+  ARVY_HOT void park_loaded(Shard& shard);
+  ARVY_COLD std::uint32_t first_touch(Shard& shard, ObjectId object);
+  ARVY_COLD void reseed(Shard& shard);
   void flush_costs(Shard& shard);
   // Counts one processed request on `shard` and notifies progress_.
   ARVY_HOT void note_progress(Shard& shard);

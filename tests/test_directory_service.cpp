@@ -1,13 +1,14 @@
 // The sharded DirectoryService: golden determinism, Directory equivalence on
-// the single-object corner, million-object residency, live-mode parity and
-// concurrency, per-shard fault scoping, canonical crash recovery, observers,
-// and the control plane. (The single-object facade itself is covered by
-// tests/test_directory_api.cpp.)
+// the single-object corner and per object under Algorithm 2, million-object
+// residency, live-mode parity and concurrency, per-shard fault scoping,
+// canonical crash recovery, observers, and the control plane. (The
+// single-object facade itself is covered by tests/test_directory_api.cpp.)
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -253,6 +254,48 @@ TEST(ServiceFaults, PermanentTokenLossRecoversFromCanonicalTree) {
   // a sampled Lemma-2 sweep still passes.
   EXPECT_TRUE(service.holder(0).has_value());
   const auto report = service.check_sampled();
+  EXPECT_TRUE(static_cast<bool>(report)) << report.first_failure;
+}
+
+TEST(ServiceBridge, ParkedBridgeRowsMatchPerObjectDirectories) {
+  // Algorithm 2 is the one policy whose parked rows carry bridge bits. Every
+  // object is shadowed by its own Directory replaying the same per-object
+  // sequence (the GraphVerifier pattern): a dropped or misplaced bridge bit
+  // changes where a find shortcuts, hence holders and costs. Algorithm 2
+  // and the timed discipline draw no randomness, so one seed serves all.
+  const auto g = graph::make_ring(16);
+  constexpr std::size_t kObjects = 64;
+  const Options options{.policy = proto::PolicyKind::kBridge, .seed = 3};
+  DirectoryService service(g, kObjects, 4, options);
+  std::vector<std::unique_ptr<Directory>> shadows;
+  for (std::size_t object = 0; object < kObjects; ++object) {
+    shadows.push_back(std::make_unique<Directory>(g, options));
+  }
+
+  support::Rng rng(17);
+  for (int i = 0; i < 2000; ++i) {
+    const auto object =
+        static_cast<service::ObjectId>(rng.next_below(kObjects));
+    const auto node = static_cast<NodeId>(rng.next_below(g.node_count()));
+    service.acquire_and_wait(object, node);
+    shadows[object]->acquire_and_wait(node);
+  }
+
+  proto::CostAccount shadow_costs;
+  for (service::ObjectId object = 0; object < kObjects; ++object) {
+    EXPECT_EQ(service.holder(object), shadows[object]->holder())
+        << "object " << object;
+    const proto::CostAccount& costs = shadows[object]->costs();
+    shadow_costs.find_messages += costs.find_messages;
+    shadow_costs.token_messages += costs.token_messages;
+    shadow_costs.find_distance += costs.find_distance;
+    shadow_costs.token_distance += costs.token_distance;
+  }
+  const proto::CostAccount costs = service.cost_snapshot();
+  EXPECT_EQ(costs.find_messages, shadow_costs.find_messages);
+  EXPECT_EQ(costs.token_messages, shadow_costs.token_messages);
+  EXPECT_DOUBLE_EQ(costs.total_distance(), shadow_costs.total_distance());
+  const auto report = service.check_sampled(16);
   EXPECT_TRUE(static_cast<bool>(report)) << report.first_failure;
 }
 

@@ -2,9 +2,15 @@
 // concurrent drivers, token tracking.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "proto/engine.hpp"
 #include "proto/policies.hpp"
+#include "support/rng.hpp"
+#include "verify/configuration.hpp"
 
 namespace {
 
@@ -154,6 +160,130 @@ TEST(EngineDeath, InvalidInitialTreeAborts) {
   bad.parent_edge_is_bridge = {false, false, false};
   auto policy = make_policy(PolicyKind::kArrow);
   EXPECT_DEATH(SimEngine(g, bad, *policy, {}), "rooted tree");
+}
+
+// --- Row-form park/adopt: the DirectoryService seam ------------------------
+
+struct Row {
+  std::vector<arvy::graph::NodeId> parents;
+  std::vector<std::uint64_t> bridges;
+
+  explicit Row(std::size_t n) : parents(n), bridges(bridge_words(n)) {}
+};
+
+// Drives an engine through random concurrent bursts (distinct nodes per
+// burst, so no node ever has two requests outstanding) and, at the
+// quiescent point after each, parks it into a row and adopts that row into
+// a second engine: adopt(park(c)) must be c.
+void expect_rows_round_trip(const arvy::graph::Graph& g,
+                            const InitialConfig& init, PolicyKind kind) {
+  auto policy = make_policy(kind);
+  SimEngine::Options options;
+  options.discipline = arvy::sim::Discipline::kRandom;
+  options.seed = 7;
+  SimEngine engine(g, init, *policy, std::move(options));
+  SimEngine copy(g, init, *policy, {});
+  const std::size_t n = g.node_count();
+  arvy::support::Rng rng(99);
+  std::vector<arvy::graph::NodeId> nodes(n);
+  for (arvy::graph::NodeId v = 0; v < n; ++v) nodes[v] = v;
+
+  for (int burst = 0; burst < 40; ++burst) {
+    for (std::size_t i = n; i > 1; --i) {
+      std::swap(nodes[i - 1], nodes[rng.next_below(i)]);
+    }
+    std::vector<TimedRequest> requests(1 + rng.next_below(n));
+    double at = engine.bus().now();
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      at += rng.next_double(0.0, 2.0);
+      requests[i] = {nodes[i], at};
+    }
+    engine.run_concurrent(requests);
+
+    Row row(n);
+    ASSERT_TRUE(engine.park_row(row.parents, row.bridges))
+        << "burst " << burst;
+    copy.adopt_row(row.parents, row.bridges,
+                   static_cast<std::uint64_t>(burst));
+    EXPECT_EQ(arvy::verify::capture(copy), arvy::verify::capture(engine))
+        << "burst " << burst;
+    for (arvy::graph::NodeId v = 0; v < n; ++v) {
+      EXPECT_EQ(copy.node(v).parent_edge_is_bridge(),
+                engine.node(v).parent_edge_is_bridge())
+          << "burst " << burst << " node " << v;
+    }
+    Row again(n);
+    ASSERT_TRUE(copy.park_row(again.parents, again.bridges));
+    EXPECT_EQ(again.parents, row.parents) << "burst " << burst;
+    EXPECT_EQ(again.bridges, row.bridges) << "burst " << burst;
+  }
+}
+
+TEST(EngineRows, ParkThenAdoptRoundTripsOnAGrid) {
+  const auto g = arvy::graph::make_grid(3, 3);
+  const InitialConfig init = from_tree(arvy::graph::bfs_tree(g, 4));
+  for (PolicyKind kind :
+       {PolicyKind::kArrow, PolicyKind::kIvy, PolicyKind::kRandom}) {
+    SCOPED_TRACE(std::string(policy_kind_name(kind)));
+    expect_rows_round_trip(g, init, kind);
+  }
+}
+
+TEST(EngineRows, ParkThenAdoptCarriesTheBridgeOnARing) {
+  const auto g = make_ring(8);
+  expect_rows_round_trip(g, ring_bridge_config(8), PolicyKind::kBridge);
+}
+
+TEST(EngineRows, AdapterRoundTripsThroughInitialConfig) {
+  const auto g = make_ring(8);
+  SimEngine engine = make_engine(g, ring_bridge_config(8), PolicyKind::kBridge);
+  engine.run_sequential(std::vector<arvy::graph::NodeId>{6, 1, 5});
+  InitialConfig parked;
+  ASSERT_TRUE(engine.park_state(parked));
+  EXPECT_TRUE(parked.is_valid_tree());
+  EXPECT_EQ(parked.root, 5u);
+  SimEngine copy = make_engine(g, ring_bridge_config(8), PolicyKind::kBridge);
+  copy.adopt_state(parked, 1);
+  EXPECT_EQ(arvy::verify::capture(copy), arvy::verify::capture(engine));
+  for (arvy::graph::NodeId v = 0; v < 8; ++v) {
+    EXPECT_EQ(parked.parent_edge_is_bridge[v],
+              engine.node(v).parent_edge_is_bridge());
+  }
+}
+
+TEST(EngineRows, ParkRefusesAnOutstandingRequest) {
+  // A dropped find leaves node 0 waiting: p(0) == 0 without the token.
+  const auto g = make_path(4);
+  SimEngine engine = make_engine(g, chain_config(4), PolicyKind::kArrow);
+  engine.submit(0);
+  const auto ids = engine.bus().deliverable_ids();
+  ASSERT_EQ(ids.size(), 1u);
+  engine.bus().drop(ids.front());
+  ASSERT_TRUE(engine.bus().idle());
+  Row row(4);
+  EXPECT_FALSE(engine.park_row(row.parents, row.bridges));
+  InitialConfig parked;
+  EXPECT_FALSE(engine.park_state(parked));
+}
+
+TEST(EngineRowsDeath, AdoptingANonTreeRowAborts) {
+  const auto g = make_path(4);
+  SimEngine engine = make_engine(g, chain_config(4), PolicyKind::kArrow);
+  const std::vector<std::uint64_t> none;
+  const std::vector<arvy::graph::NodeId> two_roots{1, 1, 3, 3};
+  const std::vector<arvy::graph::NodeId> cycle{1, 2, 1, 3};
+  const std::vector<arvy::graph::NodeId> out_of_range{1, 4, 3, 3};
+  EXPECT_DEATH(engine.adopt_row(two_roots, none, 1),
+               "adopted parent pointers must form a rooted tree");
+  EXPECT_DEATH(engine.adopt_row(cycle, none, 1),
+               "adopted parent pointers must form a rooted tree");
+  EXPECT_DEATH(engine.adopt_row(out_of_range, none, 1),
+               "adopted parent pointers must form a rooted tree");
+  // The adapter's named root must be the row's self-loop.
+  InitialConfig misrooted = chain_config(4);
+  misrooted.root = 0;
+  EXPECT_DEATH(engine.adopt_state(misrooted, 1),
+               "adopted parent pointers must form a rooted tree");
 }
 
 }  // namespace

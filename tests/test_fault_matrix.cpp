@@ -60,9 +60,19 @@ struct MatrixParam {
   Scenario scenario;
 };
 
+// `<discipline>_<scenario>`: the test-name suffix, and (through PrintTo) the
+// printed parameter, so no heap pointer reaches the ctest name.
+std::string matrix_name(const MatrixParam& param) {
+  return std::string(sim::discipline_name(param.discipline)) + "_" +
+         param.scenario.name;
+}
+
+void PrintTo(const MatrixParam& param, std::ostream* os) {
+  *os << matrix_name(param);
+}
+
 std::string param_name(const testing::TestParamInfo<MatrixParam>& info) {
-  return std::string(sim::discipline_name(info.param.discipline)) + "_" +
-         info.param.scenario.name;
+  return matrix_name(info.param);
 }
 
 class FaultMatrix : public testing::TestWithParam<MatrixParam> {};

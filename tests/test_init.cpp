@@ -1,6 +1,9 @@
 // Tests for initial configurations (rooted trees, Algorithm 2's ring split).
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "proto/init.hpp"
 #include "support/rng.hpp"
@@ -115,6 +118,144 @@ TEST(Validity, DetectsSecondSelfLoop) {
   cfg.parent = {0, 1, 0};  // node 1 is a second root
   cfg.parent_edge_is_bridge = {false, false, false};
   EXPECT_FALSE(cfg.is_valid_tree());
+}
+
+TEST(Validity, RejectsAnOutOfRangeParentMidWalk) {
+  // The walk from node 0 reaches node 1, whose parent is not a node: the
+  // check must come before the parent is followed (an out-of-bounds read
+  // otherwise, reported by the asan-ubsan preset).
+  InitialConfig cfg;
+  cfg.root = 2;
+  cfg.parent = {1, 1000, 2};
+  cfg.parent_edge_is_bridge = {false, false, false};
+  EXPECT_FALSE(cfg.is_valid_tree());
+}
+
+// The per-node root walk is_valid_tree used before is_rooted_tree replaced
+// it: O(n * depth), kept here as the reference predicate. Its range check
+// is hoisted into a first pass: inline, a walk from v read out of bounds
+// when it passed a later node whose parent was out of range.
+bool reference_walk(std::span<const NodeId> parent, NodeId root) {
+  if (root >= parent.size() || parent[root] != root) return false;
+  for (NodeId v = 0; v < parent.size(); ++v) {
+    if (parent[v] >= parent.size()) return false;
+  }
+  for (NodeId v = 0; v < parent.size(); ++v) {
+    if (v != root && parent[v] == v) return false;  // only one self-loop
+    NodeId u = v;
+    std::size_t steps = 0;
+    while (parent[u] != u) {
+      u = parent[u];
+      if (++steps > parent.size()) return false;  // cycle
+    }
+    if (u != root) return false;
+  }
+  return true;
+}
+
+bool validate(std::span<const NodeId> parent, NodeId root) {
+  // Dirty scratch: the validator must not rely on what it held before.
+  std::vector<NodeId> scratch(parent.size(), 7);
+  return is_rooted_tree(parent, root, scratch);
+}
+
+TEST(RootedTree, AgreesWithTheWalkOnEveryArrayUpToSixNodes) {
+  // Parents range over 0..n, roots over 0..n: the value n is out of range.
+  std::size_t trees = 0;
+  for (NodeId n = 1; n <= 6; ++n) {
+    std::vector<NodeId> parent(n, 0);
+    for (;;) {
+      for (NodeId root = 0; root <= n; ++root) {
+        const bool expected = reference_walk(parent, root);
+        ASSERT_EQ(validate(parent, root), expected)
+            << "n=" << n << " root=" << root;
+        trees += expected ? 1 : 0;
+      }
+      NodeId digit = 0;
+      while (digit < n && parent[digit] == n) parent[digit++] = 0;
+      if (digit == n) break;
+      ++parent[digit];
+    }
+  }
+  // Cayley: n^(n-1) rooted labelled trees on n nodes, summed for n = 1..6.
+  EXPECT_EQ(trees, 1u + 2u + 9u + 64u + 625u + 7776u);
+}
+
+// A uniformly shuffled random rooted tree: each node's parent is a node
+// placed earlier in a random order whose first node is the root.
+std::vector<NodeId> random_tree(std::size_t n, arvy::support::Rng& rng,
+                                NodeId& root) {
+  std::vector<NodeId> order(n);
+  for (NodeId v = 0; v < n; ++v) order[v] = v;
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  }
+  root = order[0];
+  std::vector<NodeId> parent(n);
+  parent[root] = root;
+  for (std::size_t i = 1; i < n; ++i) {
+    parent[order[i]] = order[rng.next_below(i)];
+  }
+  return parent;
+}
+
+TEST(RootedTree, AgreesWithTheWalkOnRandomCorruptedTrees) {
+  arvy::support::Rng rng(2024);
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t n = 1 + rng.next_below(1024);
+    NodeId root = 0;
+    std::vector<NodeId> parent = random_tree(n, rng, root);
+    ASSERT_TRUE(validate(parent, root)) << "n=" << n;
+    ASSERT_TRUE(reference_walk(parent, root));
+    const auto v = static_cast<NodeId>(rng.next_below(n));
+    switch (round % 4) {
+      case 0: {  // plant a cycle: point an ancestor of v (or v) back at v
+        NodeId a = v;
+        for (std::size_t hops = rng.next_below(n); hops > 0 && a != root;
+             --hops) {
+          a = parent[a];
+        }
+        parent[a] = v;
+        break;
+      }
+      case 1:  // a second self-loop (or, at the root, no change)
+        parent[v] = v;
+        break;
+      case 2:  // an out-of-range parent
+        parent[v] = rng.next_below(2) == 0 ? static_cast<NodeId>(n)
+                                          : arvy::graph::kInvalidNode;
+        break;
+      default:  // re-point v anywhere: a cycle or still a tree
+        parent[v] = static_cast<NodeId>(rng.next_below(n));
+        break;
+    }
+    const bool expected = reference_walk(parent, root);
+    EXPECT_EQ(validate(parent, root), expected)
+        << "n=" << n << " round=" << round;
+    if (round % 4 == 2 || (round % 4 == 0 && v != root)) {
+      EXPECT_FALSE(expected) << "n=" << n << " round=" << round;
+    }
+  }
+}
+
+TEST(RootedTree, ThousandNodeChain) {
+  // The walk's O(n^2) case: every node's chain runs to the far end.
+  const InitialConfig cfg = chain_config(1024);
+  EXPECT_TRUE(validate(cfg.parent, cfg.root));
+  EXPECT_TRUE(reference_walk(cfg.parent, cfg.root));
+  EXPECT_TRUE(cfg.is_valid_tree());
+  EXPECT_FALSE(validate(cfg.parent, 0));  // node 0 is no self-loop
+  std::vector<NodeId> looped = cfg.parent;
+  looped[1023] = 0;  // close the chain into one 1024-cycle, no root
+  EXPECT_FALSE(validate(looped, 1023));
+  EXPECT_FALSE(reference_walk(looped, 1023));
+}
+
+TEST(RootedTreeDeath, ShortScratchAborts) {
+  const InitialConfig cfg = chain_config(4);
+  std::vector<NodeId> scratch(3);
+  EXPECT_DEATH((void)is_rooted_tree(cfg.parent, cfg.root, scratch),
+               "scratch");
 }
 
 }  // namespace
