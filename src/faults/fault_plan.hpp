@@ -126,7 +126,11 @@ struct RetryPolicy {
 //   stall=AT:DUR
 //   seed=S
 //   shards=A[:B:...]   scope the plan to the listed service shards
-// Throws std::invalid_argument on malformed specs.
+// Throws std::invalid_argument on malformed specs, naming the field: a
+// number must be finite, a probability in [0, 1], a time, duration, spike or
+// factor non-negative, and a node, seed or shard a decimal integer that fits
+// its type. Node ids are not checked against a graph here; callers that know
+// one (arvy_cli) do.
 [[nodiscard]] FaultPlan parse_fault_plan(const std::string& spec);
 
 // Parses the CLI grammar for --retry: `off`, or a comma-separated list of

@@ -3,16 +3,19 @@
 #include <algorithm>
 
 #include "support/assert.hpp"
+#include "support/hot.hpp"
 
 namespace arvy::proto {
 
-ArvyCore::ArvyCore(NodeId id, NewParentPolicy* policy,
+ArvyCore::ArvyCore(NodeId id, NodeSlots slots, NewParentPolicy* policy,
                    const graph::DistanceOracle* distances, support::Rng* rng)
     : id_(id),
+      parent_(slots.parent),
+      bridges_(slots.bridges),
       policy_(policy),
       distances_(distances),
-      rng_(rng),
-      parent_(id) {
+      rng_(rng) {
+  ARVY_EXPECTS(slots.parent != nullptr && slots.bridges != nullptr);
   ARVY_EXPECTS(policy != nullptr);
 }
 
@@ -22,24 +25,20 @@ void ArvyCore::initialize(NodeId parent, bool holds_token,
   // The root points to itself and holds the token; everyone else points
   // strictly towards the root (tree shape is validated by the engine).
   ARVY_EXPECTS((parent == id_) == holds_token);
-  parent_ = parent;
+  set_parent(parent, parent_edge_is_bridge);
   holds_token_ = holds_token;
-  parent_edge_is_bridge_ = parent_edge_is_bridge;
   next_.reset();
   outstanding_.reset();
   initialized_ = true;
 }
 
-void ArvyCore::reinitialize(NodeId parent, bool holds_token,
-                            bool parent_edge_is_bridge) {
-  ARVY_EXPECTS((parent == id_) == holds_token);
-  parent_ = parent;
+ARVY_HOT void ArvyCore::reset_burst(bool holds_token) noexcept {
+  ARVY_ASSERT_MSG(!holds_token || has_self_loop(),
+                  "the token must be seated on the row's self-loop");
   holds_token_ = holds_token;
-  parent_edge_is_bridge_ = parent_edge_is_bridge;
   next_.reset();
   outstanding_.reset();
   token_serial_ = 0;
-  initialized_ = true;
 }
 
 Effects ArvyCore::request_token(RequestId request) {
@@ -49,7 +48,7 @@ Effects ArvyCore::request_token(RequestId request) {
                    "duplicate outstanding request (model violation)");
   // p(v) == v without the token means a request is already in flight, which
   // the precondition above excludes.
-  ARVY_ASSERT(parent_ != id_);
+  ARVY_ASSERT(!has_self_loop());
 
   Effects effects;
   FindMessage find;
@@ -59,11 +58,10 @@ Effects ArvyCore::request_token(RequestId request) {
   find.request = request;
   // Algorithm 2 plumbing: the message records whether the edge it traverses
   // (v, old p(v)) was the bridge; the requester's fresh self-loop is not.
-  find.sender_edge_was_bridge = parent_edge_is_bridge_;
-  effects.sends.push_back({parent_, Message{std::move(find)}});
+  find.sender_edge_was_bridge = parent_edge_is_bridge();
+  effects.sends.push_back({parent(), Message{std::move(find)}});
 
-  parent_ = id_;                    // line 3
-  parent_edge_is_bridge_ = false;
+  set_parent(id_, false);  // line 3
   outstanding_ = request;
   return effects;
 }
@@ -86,8 +84,8 @@ Effects ArvyCore::on_find(const FindMessage& find) {
                       find.visited.end(),
                   "find message revisited a node");
 
-  const NodeId old_parent = parent_;            // line 6: f <- p(w)
-  const bool old_bridge = parent_edge_is_bridge_;
+  const NodeId old_parent = parent();  // line 6: f <- p(w)
+  const bool old_bridge = parent_edge_is_bridge();
 
   PolicyContext ctx;
   ctx.receiver = id_;
@@ -102,8 +100,7 @@ Effects ArvyCore::on_find(const FindMessage& find) {
   ARVY_ASSERT_MSG(std::find(find.visited.begin(), find.visited.end(),
                             decision.new_parent) != find.visited.end(),
                   "policy returned a node outside the visited set");
-  parent_ = decision.new_parent;
-  parent_edge_is_bridge_ = decision.new_edge_is_bridge;
+  set_parent(decision.new_parent, decision.new_edge_is_bridge);
 
   Effects effects;
   if (old_parent != id_) {  // lines 8-9: forward towards the old parent

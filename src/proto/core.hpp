@@ -1,14 +1,22 @@
 // The Arvy protocol state machine (Algorithm 1), transport-agnostic.
 //
-// ArvyCore holds one node's protocol state - the parent pointer p(v), the
-// next pointer n(v), token possession, and the ring-bridge flag - and turns
-// each of the paper's four event kinds (request token, receive message,
-// receive token, send token) into a list of outgoing messages. It performs
-// no I/O: the discrete-event engine (proto/engine.hpp) and the threaded
-// runtime (runtime/) both drive the same core, so correctness results carry
-// across transports.
+// ArvyCore runs one node's side of Algorithm 1 and turns each of the paper's
+// four event kinds (request token, receive message, receive token, send
+// token) into a list of outgoing messages. It performs no I/O: the
+// discrete-event engine (proto/engine.hpp) and the threaded runtime
+// (runtime/) both drive the same core, so correctness results carry across
+// transports.
+//
+// A node's state is split by lifetime. The persistent part - the parent
+// pointer p(v) and the ring-bridge flag - is what a parked object keeps
+// between bursts, and it lives in storage the transport owns (NodeSlots):
+// SimEngine points every core into its two columns, ActorSystem into each
+// actor's own NodeCell. The per-burst part - the next pointer n(v), the
+// outstanding request, token possession and serial - lives in the core and
+// is empty at a resumable park except for the token at the root.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -29,23 +37,41 @@ struct Effects {
   std::optional<RequestId> satisfied;
 };
 
+// Where one node's persistent state lives: its parent word and the 64-bit
+// word holding its bridge flag at bit v % 64. The transport owns both words
+// and they must outlive the core.
+struct NodeSlots {
+  NodeId* parent = nullptr;
+  std::uint64_t* bridges = nullptr;
+};
+
+// Persistent state of a core that is not part of an engine's columns (an
+// ActorSystem actor, a unit test).
+struct NodeCell {
+  NodeId parent = graph::kInvalidNode;
+  std::uint64_t bridges = 0;
+
+  [[nodiscard]] NodeSlots slots() noexcept { return {&parent, &bridges}; }
+};
+
 class ArvyCore {
  public:
   // `policy` and (optionally) `distances`/`rng` must outlive the core; all
-  // nodes of one directory instance share them.
-  ArvyCore(NodeId id, NewParentPolicy* policy,
+  // nodes of one directory instance share them. The core reads and writes
+  // p(v) and the bridge flag through `slots` only.
+  ArvyCore(NodeId id, NodeSlots slots, NewParentPolicy* policy,
            const graph::DistanceOracle* distances, support::Rng* rng);
 
   // Installs the initial configuration: parent pointers forming a rooted
   // tree, the token at the root (parent == id), bridge flag per Algorithm 2.
   void initialize(NodeId parent, bool holds_token, bool parent_edge_is_bridge);
 
-  // Re-seats the core on a different object's parked state (the sharded
-  // DirectoryService swaps object trees through one engine). Same contract
-  // as initialize, but legal on an already-initialized core; resets every
-  // per-object field including the token serial.
-  void reinitialize(NodeId parent, bool holds_token,
-                    bool parent_edge_is_bridge);
+  // Starts a new burst on whatever persistent state the slots now hold (the
+  // sharded DirectoryService adopts another object's row under the core):
+  // clears the next pointer and the outstanding request, and seats the token
+  // with serial 0 iff `holds_token`. O(1); the caller validated the tree, and
+  // a seated token must sit on the row's self-loop.
+  void reset_burst(bool holds_token) noexcept;
 
   // Lines 1-4: RequestToken. Precondition: the node neither holds the token
   // nor has an outstanding request (the model's one-outstanding rule; the
@@ -71,12 +97,12 @@ class ArvyCore {
 
   // Observers (used by the invariant checker and the space audit).
   [[nodiscard]] NodeId id() const noexcept { return id_; }
-  [[nodiscard]] NodeId parent() const noexcept { return parent_; }
-  [[nodiscard]] bool has_self_loop() const noexcept { return parent_ == id_; }
+  [[nodiscard]] NodeId parent() const noexcept { return *parent_; }
+  [[nodiscard]] bool has_self_loop() const noexcept { return *parent_ == id_; }
   [[nodiscard]] std::optional<NodeId> next() const noexcept { return next_; }
   [[nodiscard]] bool holds_token() const noexcept { return holds_token_; }
   [[nodiscard]] bool parent_edge_is_bridge() const noexcept {
-    return parent_edge_is_bridge_;
+    return (*bridges_ & bridge_bit()) != 0;
   }
   [[nodiscard]] std::optional<RequestId> outstanding() const noexcept {
     return outstanding_;
@@ -92,17 +118,26 @@ class ArvyCore {
   // Lines 24-29: SendToken.
   void send_token_if_waiting(Effects& effects);
 
+  [[nodiscard]] std::uint64_t bridge_bit() const noexcept {
+    return std::uint64_t{1} << (id_ % 64);
+  }
+  void set_parent(NodeId parent, bool edge_is_bridge) noexcept {
+    *parent_ = parent;
+    *bridges_ = edge_is_bridge ? *bridges_ | bridge_bit()
+                               : *bridges_ & ~bridge_bit();
+  }
+
   NodeId id_;
+  NodeId* parent_;
+  std::uint64_t* bridges_;
   NewParentPolicy* policy_;
   const graph::DistanceOracle* distances_;
   support::Rng* rng_;
 
-  NodeId parent_;
   std::optional<NodeId> next_;
-  bool holds_token_ = false;
-  bool parent_edge_is_bridge_ = false;
   std::optional<RequestId> outstanding_;
   std::uint64_t token_serial_ = 0;
+  bool holds_token_ = false;
   bool initialized_ = false;
   bool auto_send_token_ = true;
 };

@@ -38,16 +38,25 @@ SimEngine::SimEngine(const graph::Graph& g, const InitialConfig& init,
   ARVY_EXPECTS_MSG(init.is_valid_tree(),
                    "initial parent pointers must form a rooted tree");
   ARVY_EXPECTS(g.is_connected());
-  cores_.reserve(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    cores_.emplace_back(v, policy_.get(), &oracle_, &policy_rng_);
+  const std::size_t n = g.node_count();
+  parent_column_.assign(n, graph::kInvalidNode);
+  bridge_column_.assign(bridge_words(n), 0);
+  cores_.reserve(n);
+  for (NodeId v = 0; v < n; ++v) {
+    cores_.emplace_back(
+        v, NodeSlots{&parent_column_[v], &bridge_column_[v / 64]},
+        policy_.get(), &oracle_, &policy_rng_);
     cores_.back().initialize(init.parent[v], v == init.root,
                              init.parent_edge_is_bridge[v]);
     cores_.back().set_auto_send_token(auto_send_token);
   }
-  queued_.resize(g.node_count());
-  tree_scratch_.resize(g.node_count());
-  bridge_scratch_.resize(bridge_words(g.node_count()));
+  queued_.resize(n);
+  dirty_.resize(n);
+  dirty_flag_.assign(n, 0);
+  tree_scratch_.resize(n);
+  walk_marks_.assign(n, 0);
+  bridge_scratch_.resize(bridge_words(n));
+  mark_dirty(init.root);
   bus_.set_handler([this](const sim::MessageBus<Message>::InFlight& entry) {
     on_delivery(entry);
   });
@@ -75,6 +84,7 @@ SimEngine::SimEngine(const graph::Graph& g, const InitialConfig& init,
 
 RequestId SimEngine::submit(NodeId v) {
   ARVY_EXPECTS(v < cores_.size());
+  mark_dirty(v);
   const RequestId id = static_cast<RequestId>(requests_.size()) + 1;
   requests_.push_back({id, v, bus_.now(), std::nullopt, 0});
   if (record_trace_) {
@@ -117,6 +127,7 @@ RequestId SimEngine::submit_queued(NodeId v) {
     event.request = id;
     trace_.record(event);
   }
+  mark_dirty(v);
   queued_[v].push_back(id);
   if (post_event_hook_) post_event_hook_(*this);
   return id;
@@ -130,6 +141,7 @@ ARVY_HOT bool SimEngine::step() { return bus_.step(); }
 
 void SimEngine::flush_token(NodeId v) {
   ARVY_EXPECTS(v < cores_.size());
+  mark_dirty(v);
   dispatch(v, cores_[v].flush_token());
   if (post_event_hook_) post_event_hook_(*this);
 }
@@ -182,21 +194,22 @@ ARVY_HOT bool SimEngine::park_row(std::span<NodeId> parents,
   const std::size_t n = cores_.size();
   ARVY_EXPECTS(parents.size() == n);
   ARVY_EXPECTS(bridges.empty() || bridges.size() == bridge_words(n));
-  std::fill(bridges.begin(), bridges.end(), std::uint64_t{0});
-  NodeId root = graph::kInvalidNode;
-  bool resumable = true;
-  for (NodeId v = 0; v < n; ++v) {
-    const ArvyCore& core = cores_[v];
-    parents[v] = core.parent();
-    if (!bridges.empty() && core.parent_edge_is_bridge()) {
-      bridges[v / 64] |= std::uint64_t{1} << (v % 64);
-    }
-    if (core.holds_token()) root = v;
+  // Every other core is as the last adoption left it: no request, no token.
+  NodeId holder = graph::kInvalidNode;
+  for (const NodeId v : dirty_nodes()) {
     // A node still waiting on a permanently lost find has p(v) == v without
     // the token - not a tree; the object must be re-seeded.
-    if (core.outstanding().has_value()) resumable = false;
+    if (cores_[v].outstanding().has_value()) return false;
+    if (cores_[v].holds_token()) holder = v;
   }
-  return resumable && is_rooted_tree(parents, root, tree_scratch_);
+  std::copy(parent_column_.begin(), parent_column_.end(), parents.begin());
+  if (!bridges.empty()) {
+    std::copy(bridge_column_.begin(), bridge_column_.end(), bridges.begin());
+  }
+  // The dirty list holds every node whose parent changed since the columns
+  // were last validated, and that tree's root (marked when it was seated).
+  return walks_reach_root(parent_column_, holder, dirty_nodes(),
+                          walk_marks_, walk_epoch_);
 }
 
 ARVY_HOT void SimEngine::adopt_row(std::span<const NodeId> parents,
@@ -210,11 +223,21 @@ ARVY_HOT void SimEngine::adopt_row(std::span<const NodeId> parents,
   while (root < n && parents[root] != root) ++root;
   ARVY_EXPECTS_MSG(is_rooted_tree(parents, root, tree_scratch_),
                    "adopted parent pointers must form a rooted tree");
-  for (NodeId v = 0; v < n; ++v) {
-    cores_[v].reinitialize(parents[v], v == root,
-                           !bridges.empty() && bridge_bit(bridges, v));
+  // Only the nodes the last burst touched carry per-burst state.
+  for (const NodeId v : dirty_nodes()) {
+    cores_[v].reset_burst(false);
     queued_[v].clear();
+    dirty_flag_[v] = 0;
   }
+  dirty_count_ = 0;
+  std::copy(parents.begin(), parents.end(), parent_column_.begin());
+  if (bridges.empty()) {
+    std::fill(bridge_column_.begin(), bridge_column_.end(), std::uint64_t{0});
+  } else {
+    std::copy(bridges.begin(), bridges.end(), bridge_column_.begin());
+  }
+  cores_[root].reset_burst(true);
+  mark_dirty(root);
   requests_.clear();
   costs_ = {};
   satisfied_count_ = 0;
@@ -270,8 +293,8 @@ ARVY_HOT const ArvyCore& SimEngine::node(NodeId v) const {
 }
 
 ARVY_HOT std::optional<NodeId> SimEngine::token_holder() const {
-  for (const ArvyCore& core : cores_) {
-    if (core.holds_token()) return core.id();
+  for (const NodeId v : dirty_nodes()) {
+    if (cores_[v].holds_token()) return v;
   }
   return std::nullopt;
 }
@@ -338,6 +361,7 @@ void SimEngine::dispatch(NodeId from, Effects&& effects) {
 void SimEngine::on_delivery(const sim::MessageBus<Message>::InFlight& entry) {
   if (message_hook_) message_hook_(entry);
   ArvyCore& core = cores_.at(entry.to);
+  mark_dirty(entry.to);
   Effects effects;
   if (delivery_mutator_) {
     // Bug-seeding seam: the mutated copy is what the core processes (and

@@ -3,6 +3,16 @@
 // Owns one ArvyCore per node, a MessageBus carrying proto::Message, and the
 // cost accountant. Charges every message with its shortest-path distance
 // (the paper's cost measure: "total distance traversed by the messages").
+//
+// Node state is kept split by lifetime (see proto/core.hpp). The persistent
+// part is two engine-owned columns in the parked row's own layout - n parent
+// words and bridge_words(n) words of packed bridge flags - and each core's
+// NodeSlots point into them. The per-burst part lives in the cores and in
+// the per-node request queues. Every entry point that lets an event touch a
+// node (submit, submit_queued, flush_token, each delivery) records it in a
+// preallocated dirty list, as do construction and adoption for the root
+// they seat; only dirty nodes can differ from the last validated tree or
+// carry per-burst state, which is what keeps the object switch O(touched).
 #pragma once
 
 #include <functional>
@@ -21,6 +31,7 @@
 #include "proto/policy.hpp"
 #include "proto/trace.hpp"
 #include "sim/bus.hpp"
+#include "support/hot.hpp"
 
 namespace arvy::proto {
 
@@ -93,6 +104,9 @@ class SimEngine {
   // The policy is cloned; the graph must outlive the engine.
   SimEngine(const graph::Graph& g, const InitialConfig& init,
             const NewParentPolicy& policy, Options options = {});
+  // Pinned: the bus handler and every core's slots point into the engine.
+  SimEngine(const SimEngine&) = delete;
+  SimEngine& operator=(const SimEngine&) = delete;
 
   // Injects a request at node v and processes the RequestToken event
   // immediately (it is a local event). If v already holds the token the
@@ -130,24 +144,30 @@ class SimEngine {
   // bursts and adopted back before the next one.
   //
   // A row is n parent words - a parked tree's root holds the token and is the
-  // row's only self-loop - plus bridge_words(n) words of packed bridge flags.
-  // An empty bridge span means: record no bridges (park), no bridges (adopt).
-  // Both directions validate the whole tree with is_rooted_tree on scratch
-  // the engine owns, and neither allocates. Precondition: the bus is idle.
+  // row's only self-loop - plus bridge_words(n) words of packed bridge flags:
+  // the layout of the engine's own columns, so both directions copy the row
+  // whole and touch per-node state only at dirty nodes. An empty bridge span
+  // means: record no bridges (park), no bridges (adopt). Neither direction
+  // allocates. Precondition: the bus is idle.
   //
   // park_row writes the current tree into the row. Returns false when the
   // parked state is NOT resumable - the token was permanently lost to fault
   // injection or a request is still outstanding at some node - in which case
   // the row is unspecified and the caller re-seats the object from its
-  // canonical initial tree (the documented crash-recovery semantics).
+  // canonical initial tree (the documented crash-recovery semantics). The
+  // tree is checked incrementally (walks_reach_root from the dirty list,
+  // which holds every re-pointed node and the last validated root): equal
+  // to is_rooted_tree on the whole row, in O(touched).
   [[nodiscard]] bool park_row(std::span<NodeId> parents,
                               std::span<std::uint64_t> bridges) const;
 
-  // Re-seats every core on the row, clears the request ledger and cost
-  // account, and reseeds the policy RNG stream with `seed` (same mixing as
-  // construction, so object 0 of a service run replays a standalone engine
-  // bit-for-bit). Bus time deliberately carries over: the clock is shard
-  // infrastructure. Aborts unless the row is a rooted tree.
+  // Copies the row into the columns, resets the per-burst state of the
+  // nodes the last burst dirtied, seats the token at the row's self-loop,
+  // clears the request ledger and cost account, and reseeds the policy RNG
+  // stream with `seed` (same mixing as construction, so object 0 of a
+  // service run replays a standalone engine bit-for-bit). Bus time
+  // deliberately carries over: the clock is shard infrastructure. Aborts
+  // unless the whole row is a rooted tree (is_rooted_tree, O(n)).
   void adopt_row(std::span<const NodeId> parents,
                  std::span<const std::uint64_t> bridges, std::uint64_t seed);
 
@@ -164,8 +184,16 @@ class SimEngine {
   [[nodiscard]] std::size_t unsatisfied_count() const noexcept;
   [[nodiscard]] const ArvyCore& node(NodeId v) const;
   [[nodiscard]] std::size_t node_count() const noexcept { return cores_.size(); }
-  // Node currently holding the token, or nullopt while it is in flight.
+  // Node currently holding the token, or nullopt while it is in flight
+  // (only a dirty node can hold it).
   [[nodiscard]] std::optional<NodeId> token_holder() const;
+  // The dirty list: every node an event touched since the last adoption (or
+  // construction), each once, plus the root seated then. Every node outside
+  // it has the parent and bridge flag the columns were validated with and
+  // no per-burst state.
+  [[nodiscard]] std::span<const NodeId> dirty_nodes() const noexcept {
+    return {dirty_.data(), dirty_count_};
+  }
   [[nodiscard]] const sim::MessageBus<Message>& bus() const noexcept {
     return bus_;
   }
@@ -220,18 +248,37 @@ class SimEngine {
   void on_delivery(const sim::MessageBus<Message>::InFlight& entry);
   void mark_satisfied(RequestRecord& record);
 
+  // Records that an event touched v; the list holds each node once.
+  ARVY_HOT void mark_dirty(NodeId v) noexcept {
+    if (dirty_flag_[v] != 0) return;
+    dirty_flag_[v] = 1;
+    dirty_[dirty_count_++] = v;
+  }
+
   const graph::Graph* graph_;
   graph::DistanceOracle oracle_;
   std::unique_ptr<NewParentPolicy> policy_;
   support::Rng policy_rng_;
   sim::MessageBus<Message> bus_;
+  // The persistent columns (row layout); cores_[v] views entry v of each.
+  std::vector<NodeId> parent_column_;
+  std::vector<std::uint64_t> bridge_column_;
   std::vector<ArvyCore> cores_;
   CostAccount costs_;
   std::vector<RequestRecord> requests_;
   std::vector<std::vector<RequestId>> queued_;  // per-node waiting requests
-  // Seam scratch (n validator words, bridge_words(n) adapter words): sized at
-  // construction so park and adopt never allocate.
+  // Nodes touched since the last adoption (or construction), in the first
+  // dirty_count_ entries; dirty_flag_[v] != 0 iff v is among them. Sized n
+  // at construction, so marking never allocates.
+  std::vector<NodeId> dirty_;
+  std::vector<std::uint8_t> dirty_flag_;
+  std::size_t dirty_count_ = 0;
+  // Seam scratch, sized at construction so park and adopt never allocate:
+  // n validator words for adopt's whole-row check, n walk marks and their
+  // epoch for park's incremental one, bridge_words(n) adapter words.
   mutable std::vector<NodeId> tree_scratch_;
+  mutable std::vector<std::uint64_t> walk_marks_;
+  mutable std::uint64_t walk_epoch_ = 0;
   mutable std::vector<std::uint64_t> bridge_scratch_;
   std::uint64_t satisfied_count_ = 0;
   bool record_trace_ = false;

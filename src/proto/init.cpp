@@ -61,6 +61,35 @@ ARVY_HOT bool is_rooted_tree(std::span<const NodeId> parents, NodeId root,
   return true;
 }
 
+ARVY_HOT bool walks_reach_root(std::span<const NodeId> parents, NodeId root,
+                               std::span<const NodeId> from,
+                               std::span<std::uint64_t> marks,
+                               std::uint64_t& epoch) noexcept {
+  const std::size_t n = parents.size();
+  ARVY_EXPECTS_MSG(marks.size() >= n, "walks_reach_root needs n mark words");
+  if (root >= n || parents[root] != root) return false;
+  // Walk k stamps base + k + 1. A stamp at or below base is an earlier
+  // call's, i.e. unvisited here; meeting the walk's own stamp closes a
+  // cycle, and meeting an earlier walk's joins a chain known to reach root.
+  const std::uint64_t base = epoch;
+  epoch += from.size();
+  for (std::size_t k = 0; k < from.size(); ++k) {
+    const std::uint64_t walk = base + k + 1;
+    NodeId u = from[k];
+    if (u >= n) return false;
+    while (u != root) {
+      if (marks[u] > base) {
+        if (marks[u] == walk) return false;
+        break;
+      }
+      marks[u] = walk;
+      u = parents[u];
+      if (u >= n) return false;
+    }
+  }
+  return true;
+}
+
 InitialConfig from_tree(const graph::RootedTree& tree) {
   ARVY_EXPECTS(tree.is_valid());
   InitialConfig cfg;

@@ -6,6 +6,7 @@
 // designated bridge edge.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -35,6 +36,27 @@ struct InitialConfig {
 // that validation never allocates.
 [[nodiscard]] bool is_rooted_tree(std::span<const NodeId> parents, NodeId root,
                                   std::span<NodeId> scratch) noexcept;
+
+// The incremental form of is_rooted_tree, for a row that was a rooted tree
+// before some of its nodes were re-pointed: true iff `root` is a node,
+// parents[root] == root, and the parent walk from every node of `from`
+// reaches `root` without a repeat (and so without leaving the node range).
+//
+// It equals is_rooted_tree(parents, root) whenever `from` holds every node
+// whose parent changed since the row was last a rooted tree AND that tree's
+// root. A walk from any other node follows edges of the old tree, which
+// lead it into `from` (at the old root at the latest), and from there it is
+// checked. The old root is needed: from {0->0, 1->0} to {0->0, 1->1} only
+// node 1 changed, and its walk reaches root 1, yet 0 is a second self-loop.
+//
+// O(|from| + nodes walked), not O(n): `marks` (n entries) holds walk stamps,
+// and the call advances `epoch` past every stamp it writes, so stamps of
+// earlier calls read as unvisited and marks never needs clearing. Start
+// every mark and the epoch at zero.
+[[nodiscard]] bool walks_reach_root(std::span<const NodeId> parents,
+                                    NodeId root, std::span<const NodeId> from,
+                                    std::span<std::uint64_t> marks,
+                                    std::uint64_t& epoch) noexcept;
 
 // Any rooted spanning tree, no bridge.
 [[nodiscard]] InitialConfig from_tree(const graph::RootedTree& tree);

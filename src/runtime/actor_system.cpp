@@ -40,7 +40,8 @@ ActorSystem::ActorSystem(const graph::Graph& g,
     actor->policy = policy.clone();
     actor->rng = std::make_unique<support::Rng>(seeder.split());
     actor->core = std::make_unique<proto::ArvyCore>(
-        v, actor->policy.get(), &oracle_, actor->rng.get());
+        v, actor->cell.slots(), actor->policy.get(), &oracle_,
+        actor->rng.get());
     actor->core->initialize(init.parent[v], v == init.root,
                             init.parent_edge_is_bridge[v]);
     actor->ring.emplace(options_.ring_capacity, slot_bytes);

@@ -174,6 +174,9 @@ class ActorSystem {
     Worker* owner = nullptr;
     std::unique_ptr<proto::NewParentPolicy> policy;
     std::unique_ptr<support::Rng> rng;
+    // The core's persistent state (p(v) and the bridge flag): the actor's
+    // own words, so no two actors' cores share storage.
+    proto::NodeCell cell;
     std::unique_ptr<proto::ArvyCore> core;
     // Hot channel: bounded ring of flat wire envelopes.
     std::optional<RingMailbox> ring;

@@ -25,10 +25,11 @@
 //    state (distance oracle, bus, policy clone) is shard infrastructure.
 //    Per-object protocol state lives in a compact row of the shard's slab:
 //    the engine parks into it and adopts from it in place (SimEngine::
-//    park_row/adopt_row, each validating the tree in O(n) without
-//    allocating). A row is written from the canonical tree on first touch,
-//    so resident memory scales with objects actually used, not registered,
-//    and every adoption takes the same path. The steady-state switch is
+//    park_row/adopt_row: adopt validates the whole tree, park re-checks
+//    only the nodes the burst touched, neither allocates). A row is
+//    written from the canonical tree on first touch, so resident memory
+//    scales with objects actually used, not registered, and every
+//    adoption takes the same path. The steady-state switch is
 //    ARVY_HOT; first touch and re-seed are its only cold parts.
 //  - ServiceMode::kSim processes requests inline on the caller's thread:
 //    deterministic, seedable, inspectable any time the service is quiescent.

@@ -53,8 +53,9 @@ FindMessage find_by(NodeId producer, std::vector<NodeId> visited,
 // Builds the pair of cores fresh for each ordering.
 struct TwoNodes {
   std::unique_ptr<NewParentPolicy> policy = make_policy(PolicyKind::kArrow);
-  ArvyCore u{2, policy.get(), nullptr, nullptr};
-  ArvyCore v{5, policy.get(), nullptr, nullptr};
+  NodeCell u_cell, v_cell;
+  ArvyCore u{2, u_cell.slots(), policy.get(), nullptr, nullptr};
+  ArvyCore v{5, v_cell.slots(), policy.get(), nullptr, nullptr};
 };
 
 TEST(Lemma1, RequestAndRequestCommute) {

@@ -1,18 +1,22 @@
 // The sharded DirectoryService: golden determinism, Directory equivalence on
-// the single-object corner and per object under Algorithm 2, million-object
-// residency, live-mode parity and concurrency, per-shard fault scoping,
-// canonical crash recovery, observers, and the control plane. (The
-// single-object facade itself is covered by tests/test_directory_api.cpp.)
+// the single-object corner and per object under every policy in both modes,
+// million-object residency, live-mode parity and concurrency, per-shard
+// fault scoping, canonical crash recovery, observers, and the control
+// plane. (The single-object facade itself is covered by
+// tests/test_directory_api.cpp.)
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "graph/spanning_tree.hpp"
 #include "proto/directory.hpp"
 #include "service/directory_service.hpp"
 #include "service/request.hpp"
@@ -257,16 +261,50 @@ TEST(ServiceFaults, PermanentTokenLossRecoversFromCanonicalTree) {
   EXPECT_TRUE(static_cast<bool>(report)) << report.first_failure;
 }
 
-TEST(ServiceBridge, ParkedBridgeRowsMatchPerObjectDirectories) {
-  // Algorithm 2 is the one policy whose parked rows carry bridge bits. Every
-  // object is shadowed by its own Directory replaying the same per-object
-  // sequence (the GraphVerifier pattern): a dropped or misplaced bridge bit
-  // changes where a find shortcuts, hence holders and costs. Algorithm 2
-  // and the timed discipline draw no randomness, so one seed serves all.
-  const auto g = graph::make_ring(16);
-  constexpr std::size_t kObjects = 64;
-  const Options options{.policy = proto::PolicyKind::kBridge, .seed = 3};
-  DirectoryService service(g, kObjects, 4, options);
+// --- Per-object shadow parity: every policy, both modes ---------------------
+
+struct ShadowParam {
+  proto::PolicyKind policy;
+  ServiceMode mode;
+};
+
+// `<policy>_<mode>`: the test-name suffix, and (through PrintTo) the
+// printed parameter.
+std::string shadow_name(const ShadowParam& param) {
+  return std::string(proto::policy_kind_name(param.policy)) +
+         (param.mode == ServiceMode::kSim ? "_sim" : "_live");
+}
+
+void PrintTo(const ShadowParam& param, std::ostream* os) {
+  *os << shadow_name(param);
+}
+
+std::string shadow_param_name(
+    const testing::TestParamInfo<ShadowParam>& info) {
+  return shadow_name(info.param);
+}
+
+class ServiceShadow : public testing::TestWithParam<ShadowParam> {};
+
+TEST_P(ServiceShadow, ParkedRowsMatchPerObjectDirectories) {
+  // Every object is shadowed by its own Directory replaying the same
+  // per-object sequence from the same initial tree (the GraphVerifier
+  // pattern): a parent, bridge bit or token parked or adopted wrong changes
+  // where later finds go, hence holders and costs. Algorithm 2 runs on the
+  // ring its split assumes; the other policies on a grid.
+  const ShadowParam param = GetParam();
+  if (param.policy == proto::PolicyKind::kRandom) {
+    GTEST_SKIP() << "ROADMAP item 2: adopt_row reseeds the policy RNG at "
+                    "every adoption, so a burst replays the object's "
+                    "opening draws and the shadow run diverges";
+  }
+  const bool bridge = param.policy == proto::PolicyKind::kBridge;
+  const graph::Graph g = bridge ? graph::make_ring(16) : graph::make_grid(4, 4);
+  Options options{.policy = param.policy, .seed = 3};
+  options.initial = bridge ? proto::ring_bridge_config(16)
+                           : proto::from_tree(graph::bfs_tree(g, 5));
+  constexpr std::size_t kObjects = 32;
+  DirectoryService service(g, kObjects, 3, options, param.mode);
   std::vector<std::unique_ptr<Directory>> shadows;
   for (std::size_t object = 0; object < kObjects; ++object) {
     shadows.push_back(std::make_unique<Directory>(g, options));
@@ -280,6 +318,7 @@ TEST(ServiceBridge, ParkedBridgeRowsMatchPerObjectDirectories) {
     service.acquire_and_wait(object, node);
     shadows[object]->acquire_and_wait(node);
   }
+  service.shutdown();  // kLive: holders and check_sampled need the joins
 
   proto::CostAccount shadow_costs;
   for (service::ObjectId object = 0; object < kObjects; ++object) {
@@ -295,9 +334,23 @@ TEST(ServiceBridge, ParkedBridgeRowsMatchPerObjectDirectories) {
   EXPECT_EQ(costs.find_messages, shadow_costs.find_messages);
   EXPECT_EQ(costs.token_messages, shadow_costs.token_messages);
   EXPECT_DOUBLE_EQ(costs.total_distance(), shadow_costs.total_distance());
+  EXPECT_EQ(service.recovery_count(), 0u);
   const auto report = service.check_sampled(16);
   EXPECT_TRUE(static_cast<bool>(report)) << report.first_failure;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, ServiceShadow,
+    testing::ValuesIn([] {
+      std::vector<ShadowParam> params;
+      for (const proto::PolicyKind kind : proto::all_policy_kinds()) {
+        for (const ServiceMode mode : {ServiceMode::kSim, ServiceMode::kLive}) {
+          params.push_back({kind, mode});
+        }
+      }
+      return params;
+    }()),
+    shadow_param_name);
 
 TEST(ServiceObservers, HooksCarryTheObjectAxis) {
   const auto g = graph::make_ring(6);

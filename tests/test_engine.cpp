@@ -2,11 +2,14 @@
 // concurrent drivers, token tracking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "graph/spanning_tree.hpp"
 #include "proto/engine.hpp"
 #include "proto/policies.hpp"
 #include "support/rng.hpp"
@@ -264,6 +267,186 @@ TEST(EngineRows, ParkRefusesAnOutstandingRequest) {
   EXPECT_FALSE(engine.park_row(row.parents, row.bridges));
   InitialConfig parked;
   EXPECT_FALSE(engine.park_state(parked));
+}
+
+// The park predicate before the incremental check, over every node: no
+// request outstanding, a token holder, and a whole-row rooted tree there.
+bool whole_row_parkable(const SimEngine& engine) {
+  const std::size_t n = engine.node_count();
+  std::vector<arvy::graph::NodeId> parents(n);
+  std::optional<arvy::graph::NodeId> holder;
+  for (arvy::graph::NodeId v = 0; v < n; ++v) {
+    if (engine.node(v).outstanding().has_value()) return false;
+    if (engine.node(v).holds_token()) holder = v;
+    parents[v] = engine.node(v).parent();
+  }
+  std::vector<arvy::graph::NodeId> scratch(n);
+  return holder.has_value() && is_rooted_tree(parents, *holder, scratch);
+}
+
+// token_holder() reads the dirty list; this scans every node.
+std::optional<arvy::graph::NodeId> scanned_holder(const SimEngine& engine) {
+  for (arvy::graph::NodeId v = 0; v < engine.node_count(); ++v) {
+    if (engine.node(v).holds_token()) return v;
+  }
+  return std::nullopt;
+}
+
+// Parks a quiescent engine; the verdict must equal the whole-row predicate,
+// and a resumable row must be the nodes' parents and bridge flags.
+bool expect_park_matches(const SimEngine& engine, Row& row,
+                         const std::string& where) {
+  EXPECT_TRUE(engine.bus().idle()) << where;
+  EXPECT_EQ(engine.token_holder(), scanned_holder(engine)) << where;
+  const bool parked = engine.park_row(row.parents, row.bridges);
+  EXPECT_EQ(parked, whole_row_parkable(engine)) << where;
+  if (parked) {
+    std::vector<bool> flags(engine.node_count());
+    for (arvy::graph::NodeId v = 0; v < engine.node_count(); ++v) {
+      EXPECT_EQ(row.parents[v], engine.node(v).parent()) << where;
+      flags[v] = engine.node(v).parent_edge_is_bridge();
+    }
+    Row expected(engine.node_count());
+    pack_bridges(flags, expected.bridges);
+    EXPECT_EQ(row.bridges, expected.bridges) << where;
+  }
+  return parked;
+}
+
+// The dirty-tracking seam's invariant: a node outside the dirty list keeps
+// the parent and bridge flag of the last validated row and has no per-burst
+// state, so park and adopt may skip it.
+void expect_clean_outside_dirty(const SimEngine& engine, const Row& validated,
+                                const std::string& where) {
+  const std::size_t n = engine.node_count();
+  std::vector<bool> dirty(n, false);
+  for (const arvy::graph::NodeId v : engine.dirty_nodes()) dirty[v] = true;
+  for (arvy::graph::NodeId v = 0; v < n; ++v) {
+    if (dirty[v]) continue;
+    const ArvyCore& core = engine.node(v);
+    const bool bridge = ((validated.bridges[v / 64] >> (v % 64)) & 1U) != 0;
+    EXPECT_TRUE(core.parent() == validated.parents[v] &&
+                core.parent_edge_is_bridge() == bridge &&
+                !core.holds_token() && !core.next().has_value() &&
+                !core.outstanding().has_value() && core.token_serial() == 0)
+        << where << ": node " << v << " changed outside the dirty list";
+  }
+}
+
+TEST(EngineRows, ParkCheckAgreesWithTheWholeRowCheck) {
+  // Random episodes through every entry point of the dirty-tracking seam:
+  // queued submits, deferred tokens released by flush_token, dropped finds
+  // and tokens, and adopt -> park with no event in between. After every
+  // step nothing outside the dirty list has changed and token_holder (dirty
+  // list) equals a full scan; at every quiescent point park_row's
+  // O(touched) verdict equals the old whole-row predicate.
+  struct Case {
+    arvy::graph::Graph g;
+    InitialConfig init;
+    PolicyKind kind;
+  };
+  const auto grid = arvy::graph::make_grid(3, 3);
+  const InitialConfig grid_tree = from_tree(arvy::graph::bfs_tree(grid, 4));
+  std::vector<Case> cases;
+  for (PolicyKind kind : {PolicyKind::kArrow, PolicyKind::kIvy,
+                          PolicyKind::kRandom, PolicyKind::kMidpoint}) {
+    cases.push_back({grid, grid_tree, kind});
+  }
+  cases.push_back({make_ring(8), ring_bridge_config(8), PolicyKind::kBridge});
+
+  std::size_t parks = 0;
+  std::size_t refused = 0;
+  for (const Case& c : cases) {
+    for (const bool auto_send : {true, false}) {
+      const std::string name = std::string(policy_kind_name(c.kind)) +
+                               (auto_send ? " auto" : " deferred");
+      auto policy = make_policy(c.kind);
+      SimEngine::Options options;
+      options.discipline = arvy::sim::Discipline::kRandom;
+      options.seed = 11;
+      options.auto_send_token = auto_send;
+      SimEngine engine(c.g, c.init, *policy, std::move(options));
+      const std::size_t n = c.g.node_count();
+      Row row(n);
+      Row canonical(n);
+      std::copy(c.init.parent.begin(), c.init.parent.end(),
+                canonical.parents.begin());
+      pack_bridges(c.init.parent_edge_is_bridge, canonical.bridges);
+      Row validated = canonical;
+      expect_park_matches(engine, row, name + " after construction");
+
+      arvy::support::Rng rng(23);
+      for (int step = 0; step < 400; ++step) {
+        const std::string where = name + " step " + std::to_string(step);
+        const auto v = static_cast<arvy::graph::NodeId>(rng.next_below(n));
+        switch (rng.next_below(6)) {
+          case 0:
+          case 1:  // queues behind an outstanding request at v, if any
+            (void)engine.submit_queued(v);
+            break;
+          case 2:
+            (void)engine.step();
+            break;
+          case 3: {  // from quiet: lose the one find or token just sent
+            engine.run_until_idle();
+            if (rng.next_below(4) != 0) break;
+            const std::optional<arvy::graph::NodeId> holder =
+                scanned_holder(engine);
+            if (!auto_send && holder.has_value()) {
+              engine.flush_token(*holder);
+            } else {
+              (void)engine.submit_queued(v);
+            }
+            const auto ids = engine.bus().deliverable_ids();
+            if (ids.size() == 1) engine.bus().drop(ids.front());
+            break;
+          }
+          case 4:  // the deferred SendToken event
+            if (const auto holder = scanned_holder(engine)) {
+              engine.flush_token(*holder);
+            }
+            break;
+          default: {
+            engine.run_until_idle();
+            ++parks;
+            const bool parked = expect_park_matches(engine, row, where);
+            if (!parked) ++refused;
+            if (rng.next_below(2) == 0) {
+              // Resume the parked row (or re-seed a refused one) and park
+              // again with no event in between.
+              validated = parked ? row : canonical;
+              engine.adopt_row(validated.parents, validated.bridges, 5);
+              Row again(n);
+              EXPECT_TRUE(expect_park_matches(engine, again, where + " adopt"));
+              EXPECT_EQ(again.parents, validated.parents) << where;
+            }
+            break;
+          }
+        }
+        EXPECT_EQ(engine.token_holder(), scanned_holder(engine)) << where;
+        expect_clean_outside_dirty(engine, validated, where);
+      }
+    }
+  }
+  // Both verdicts occur often enough to mean something.
+  EXPECT_GT(parks - refused, 100u);
+  EXPECT_GT(refused, 50u);
+}
+
+TEST(EngineRows, ParksRightAfterConstructionAndAdoption) {
+  // No event has touched any node: the dirty list holds only the root that
+  // construction (then adoption) seated, and that must be enough.
+  const auto g = make_path(4);
+  SimEngine engine = make_engine(g, chain_config(4), PolicyKind::kArrow);
+  EXPECT_EQ(engine.token_holder(), std::optional<arvy::graph::NodeId>{3});
+  Row row(4);
+  ASSERT_TRUE(engine.park_row(row.parents, row.bridges));
+  EXPECT_EQ(row.parents, chain_config(4).parent);
+  const InitialConfig other = path_config(4, 1);
+  engine.adopt_row(other.parent, {}, 1);
+  EXPECT_EQ(engine.token_holder(), std::optional<arvy::graph::NodeId>{1});
+  ASSERT_TRUE(engine.park_row(row.parents, row.bridges));
+  EXPECT_EQ(row.parents, other.parent);
 }
 
 TEST(EngineRowsDeath, AdoptingANonTreeRowAborts) {

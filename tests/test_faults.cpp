@@ -4,8 +4,12 @@
 // losses vanish without consuming message ids).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <variant>
+#include <vector>
 
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
@@ -69,6 +73,68 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
                std::invalid_argument);
 }
 
+// A malformed spec and the field its error message must name.
+struct Rejection {
+  std::string spec;
+  std::string field;
+};
+
+// Every malformed field is an invalid_argument naming it: not a bare
+// stoul/stod/at exception, and not a silently accepted value.
+template <typename Parse>
+void expect_rejections(Parse parse, std::span<const Rejection> cases) {
+  for (const Rejection& c : cases) {
+    std::string what;
+    try {
+      (void)parse(c.spec);
+    } catch (const std::invalid_argument& error) {
+      what = error.what();
+    }
+    EXPECT_NE(what.find("fault spec '" + c.spec + "': " + c.field),
+              std::string::npos)
+        << c.spec << " -> '" << what << "'";
+  }
+}
+
+TEST(FaultPlan, RejectsEveryMalformedFieldByName) {
+  const Rejection cases[] = {
+      {"reorder=", "reorder"},
+      {"reorder=0.1:-2", "reorder SPIKE"},
+      {"seed=abc", "seed"},
+      {"seed=-1", "seed"},
+      {"seed=18446744073709551616", "seed"},
+      {"shards=x", "shards"},
+      {"shards=0:4294967296", "shards"},
+      {"drop=x", "drop"},
+      {"drop=0.5x", "drop"},
+      {"drop= 0.5", "drop"},
+      {"dup=nan", "dup"},
+      {"dropfind=inf", "dropfind"},
+      {"droptoken=-0.1", "droptoken"},
+      {"pause=3:nan:1", "pause AT"},
+      {"pause=-1:1:1", "pause NODE"},
+      {"pause=4294967296:1:1", "pause NODE"},
+      {"pause=3:1:-1", "pause DUR"},
+      {"storm=1:-5", "storm DUR"},
+      {"storm=-1:5", "storm AT"},
+      {"storm=1:5:inf", "storm FACTOR"},
+      {"storm=1:5:2:9", "storm"},
+      {"stall=1e999:1", "stall AT"},
+  };
+  expect_rejections(faults::parse_fault_plan, cases);
+}
+
+TEST(FaultPlan, AcceptsTheEdgesOfEveryRange) {
+  const FaultPlan plan = faults::parse_fault_plan(
+      "drop=1,dup=0,storm=0:0:0,pause=4294967295:0:0,"
+      "seed=18446744073709551615,shards=0:4294967295");
+  EXPECT_DOUBLE_EQ(plan.drop_find, 1.0);
+  EXPECT_DOUBLE_EQ(plan.storms.at(0).factor, 0.0);
+  EXPECT_EQ(plan.pauses.at(0).node, 4294967295u);
+  EXPECT_EQ(plan.seed, 18446744073709551615u);
+  EXPECT_EQ(plan.shards, (std::vector<std::uint32_t>{0, 4294967295u}));
+}
+
 TEST(RetryPolicyParse, WorkedExampleAndOff) {
   const RetryPolicy retry = faults::parse_retry_policy("backoff=2x");
   EXPECT_TRUE(retry.enabled);
@@ -81,6 +147,17 @@ TEST(RetryPolicyParse, WorkedExampleAndOff) {
   EXPECT_DOUBLE_EQ(full.rto, 2.0);
   EXPECT_DOUBLE_EQ(full.max_backoff, 32.0);
   EXPECT_EQ(full.max_attempts, 5u);
+}
+
+TEST(RetryPolicyParse, RejectsEveryMalformedFieldByName) {
+  const Rejection cases[] = {
+      {"rto=-1", "rto"},
+      {"cap=nan", "cap"},
+      {"backoff=infx", "backoff"},
+      {"attempts=x", "attempts"},
+      {"attempts=4294967296", "attempts"},
+  };
+  expect_rejections(faults::parse_retry_policy, cases);
 }
 
 TEST(RetryPolicyParse, RejectsMalformedSpecs) {

@@ -1,6 +1,9 @@
 // Tests for initial configurations (rooted trees, Algorithm 2's ring split).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -251,11 +254,200 @@ TEST(RootedTree, ThousandNodeChain) {
   EXPECT_FALSE(reference_walk(looped, 1023));
 }
 
+// --- The incremental check park_row runs -----------------------------------
+
+// walks_reach_root over `from`, on marks and an epoch shared by every call of
+// a test: stamps of earlier calls must read as unvisited.
+struct Walker {
+  std::vector<std::uint64_t> marks;
+  std::uint64_t epoch = 0;
+
+  explicit Walker(std::size_t n) : marks(n, 0) {}
+
+  bool operator()(std::span<const NodeId> parent, NodeId root,
+                  std::span<const NodeId> from) {
+    return walks_reach_root(parent, root, from, marks, epoch);
+  }
+};
+
+// The nodes whose parent differs between the rows, plus the old root.
+std::vector<NodeId> diff_and_old_root(std::span<const NodeId> before,
+                                      std::span<const NodeId> after,
+                                      NodeId old_root) {
+  std::vector<NodeId> from{old_root};
+  for (NodeId v = 0; v < before.size(); ++v) {
+    if (before[v] != after[v] && v != old_root) from.push_back(v);
+  }
+  return from;
+}
+
+TEST(IncrementalTree, OldRootIsNeeded) {
+  // Only node 1 changed and its walk reaches holder 1, but node 0 is a
+  // second self-loop: the changed nodes alone do not carry the check.
+  const std::vector<NodeId> before{0, 0};
+  const std::vector<NodeId> after{0, 1};
+  Walker walk(2);
+  const std::vector<NodeId> changed{1};
+  EXPECT_TRUE(walk(after, 1, changed));
+  EXPECT_FALSE(validate(after, 1));
+  EXPECT_FALSE(walk(after, 1, diff_and_old_root(before, after, 0)));
+}
+
+TEST(IncrementalTree, AgreesWithTheWholeRowOnEveryArrayUpToFiveNodes) {
+  // Every (valid old row, new array over 0..n, holder) triple: D = the diff
+  // plus the old root, and a random superset of it, must both agree with
+  // is_rooted_tree on the new row. D = the diff alone must not.
+  arvy::support::Rng rng(5);
+  std::size_t triples = 0;
+  std::size_t diff_only_wrong = 0;
+  for (NodeId n = 1; n <= 5; ++n) {
+    std::vector<std::vector<NodeId>> arrays;
+    std::vector<NodeId> parent(n, 0);
+    for (;;) {
+      arrays.push_back(parent);
+      NodeId digit = 0;
+      while (digit < n && parent[digit] == n) parent[digit++] = 0;
+      if (digit == n) break;
+      ++parent[digit];
+    }
+    // whole[a * n + h]: is array a a rooted tree with root h?
+    std::vector<bool> whole(arrays.size() * n);
+    for (std::size_t a = 0; a < arrays.size(); ++a) {
+      for (NodeId h = 0; h < n; ++h) whole[a * n + h] = validate(arrays[a], h);
+    }
+    Walker walk(n);
+    // D lists: the diff (then the old root), and a superset of both.
+    std::array<NodeId, 16> buffer{};
+    std::array<NodeId, 16> superset{};
+    for (std::size_t o = 0; o < arrays.size(); ++o) {
+      NodeId old_root = n;
+      for (NodeId h = 0; h < n; ++h) {
+        if (whole[o * n + h]) old_root = h;
+      }
+      if (old_root == n) continue;  // not a valid old row
+      for (std::size_t a = 0; a < arrays.size(); ++a) {
+        std::size_t changed = 0;
+        for (NodeId v = 0; v < n; ++v) {
+          if (arrays[o][v] != arrays[a][v]) buffer[changed++] = v;
+        }
+        const std::span<const NodeId> diff(buffer.data(), changed);
+        buffer[changed] = old_root;
+        const std::span<const NodeId> from(buffer.data(), changed + 1);
+        for (NodeId h = 0; h < n; ++h) {
+          const bool expected = whole[a * n + h];
+          ++triples;
+          std::size_t size = from.size();
+          std::copy(from.begin(), from.end(), superset.begin());
+          const std::uint64_t extra = rng.next_below(std::uint64_t{1} << n);
+          for (NodeId v = 0; v < n; ++v) {
+            if (((extra >> v) & 1U) != 0) superset[size++] = v;
+          }
+          if (walk(arrays[a], h, from) != expected ||
+              walk(arrays[a], h, {superset.data(), size}) != expected) {
+            ADD_FAILURE() << "n=" << n << " old=" << o << " new=" << a
+                          << " h=" << h;
+            return;
+          }
+          if (walk(arrays[a], h, diff) != expected) ++diff_only_wrong;
+        }
+      }
+    }
+  }
+  // sum over n of n^(n-1) old rows x (n+1)^n arrays x n holders
+  EXPECT_EQ(triples, 2u + 36u + 1728u + 160000u + 24300000u);
+  // (908 of them with n <= 4, 161,766 triples)
+  EXPECT_EQ(diff_only_wrong, 53888u);
+}
+
+// A random rooted tree re-rooted at `to` the way a find re-points nodes:
+// the path from `to` to the old root is reversed.
+void reroot(std::vector<NodeId>& parent, NodeId to) {
+  NodeId previous = to;
+  NodeId u = to;
+  while (parent[u] != u) {
+    const NodeId up = parent[u];
+    parent[u] = previous;
+    previous = u;
+    u = up;
+  }
+  parent[u] = previous;
+}
+
+TEST(IncrementalTree, AgreesWithTheWholeRowOnRandomEditsUpToThousandNodes) {
+  arvy::support::Rng rng(1705);
+  Walker walk(1024);
+  std::size_t valid = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const std::size_t n = 1 + rng.next_below(1024);
+    NodeId old_root = 0;
+    const std::vector<NodeId> before = random_tree(n, rng, old_root);
+    std::vector<NodeId> after = before;
+    auto holder = static_cast<NodeId>(rng.next_below(n));
+    reroot(after, holder);
+    const auto v = static_cast<NodeId>(rng.next_below(n));
+    switch (round % 5) {
+      case 0:  // the re-rooted tree itself
+        break;
+      case 1: {  // plant a cycle: point an ancestor of v (or v) back at v
+        NodeId a = v;
+        for (std::size_t hops = rng.next_below(n); hops > 0 && a != holder;
+             --hops) {
+          a = after[a];
+        }
+        after[a] = v;
+        break;
+      }
+      case 2:  // a second self-loop (or, at the holder, no change)
+        after[v] = v;
+        break;
+      case 3:  // an out-of-range parent
+        after[v] = rng.next_below(2) == 0 ? static_cast<NodeId>(n)
+                                         : arvy::graph::kInvalidNode;
+        break;
+      default:  // re-point a few nodes anywhere, maybe hold elsewhere
+        for (std::size_t k = 1 + rng.next_below(4); k > 0; --k) {
+          after[rng.next_below(n)] = static_cast<NodeId>(rng.next_below(n));
+        }
+        if (rng.next_below(2) == 0) {
+          holder = static_cast<NodeId>(rng.next_below(n));
+        }
+        break;
+    }
+    const bool expected = validate(after, holder);
+    if (expected) ++valid;
+    std::vector<NodeId> from = diff_and_old_root(before, after, old_root);
+    ASSERT_EQ(walk(after, holder, from), expected)
+        << "n=" << n << " round=" << round;
+    for (std::size_t k = rng.next_below(8); k > 0; --k) {
+      from.push_back(static_cast<NodeId>(rng.next_below(n)));
+    }
+    ASSERT_EQ(walk(after, holder, from), expected)
+        << "n=" << n << " round=" << round << " (superset)";
+    if (round % 5 == 0) {
+      EXPECT_TRUE(expected) << "n=" << n;
+    }
+    if (round % 5 == 3) {
+      EXPECT_FALSE(expected) << "n=" << n;
+    }
+  }
+  EXPECT_GT(valid, 400u);
+}
+
 TEST(RootedTreeDeath, ShortScratchAborts) {
   const InitialConfig cfg = chain_config(4);
   std::vector<NodeId> scratch(3);
   EXPECT_DEATH((void)is_rooted_tree(cfg.parent, cfg.root, scratch),
                "scratch");
+}
+
+TEST(RootedTreeDeath, ShortWalkMarksAbort) {
+  const InitialConfig cfg = chain_config(4);
+  std::vector<std::uint64_t> marks(3);
+  std::uint64_t epoch = 0;
+  const std::vector<NodeId> from{0};
+  EXPECT_DEATH(
+      (void)walks_reach_root(cfg.parent, cfg.root, from, marks, epoch),
+      "mark words");
 }
 
 }  // namespace

@@ -14,9 +14,12 @@ struct CoreFixture : ::testing::Test {
   std::unique_ptr<NewParentPolicy> ivy = make_policy(PolicyKind::kIvy);
   std::unique_ptr<NewParentPolicy> bridge = make_policy(PolicyKind::kBridge);
 
+  // Persistent state of the cores under test, by node id.
+  NodeCell cells[8];
+
   ArvyCore make_node(NodeId id, NodeId parent, bool token,
                      NewParentPolicy* policy, bool is_bridge = false) {
-    ArvyCore core(id, policy, nullptr, nullptr);
+    ArvyCore core(id, cells[id].slots(), policy, nullptr, nullptr);
     core.initialize(parent, token, is_bridge);
     return core;
   }
@@ -191,7 +194,7 @@ TEST_F(CoreDeath, InitializeTwiceAborts) {
 }
 
 TEST_F(CoreDeath, RootMustHoldToken) {
-  ArvyCore core(0, arrow.get(), nullptr, nullptr);
+  ArvyCore core(0, cells[0].slots(), arrow.get(), nullptr, nullptr);
   EXPECT_DEATH(core.initialize(0, false, false), "parent == id_");
 }
 

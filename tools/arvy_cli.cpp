@@ -41,6 +41,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/competitive.hpp"
@@ -258,6 +259,30 @@ int cmd_run_live(const Flags& flags, const graph::Graph& g,
   return drained ? 0 : 1;
 }
 
+// --faults / --retry into `options`. A malformed spec, or a pause window on a
+// node the graph does not have, is a usage error (exit 2), never an uncaught
+// exception.
+void parse_fault_flags(const Flags& flags, std::size_t nodes,
+                       Options& options) {
+  try {
+    if (auto spec = flags.get("faults"); spec.has_value()) {
+      options.faults = faults::parse_fault_plan(*spec);
+      for (const faults::PauseWindow& pause : options.faults.pauses) {
+        if (pause.node >= nodes) {
+          usage_error("fault spec '" + *spec + "': pause NODE " +
+                      std::to_string(pause.node) + " is not below n = " +
+                      std::to_string(nodes));
+        }
+      }
+    }
+    if (auto spec = flags.get("retry"); spec.has_value()) {
+      options.retry = faults::parse_retry_policy(*spec);
+    }
+  } catch (const std::invalid_argument& error) {
+    usage_error(error.what());
+  }
+}
+
 int cmd_run(const Flags& flags) {
   const std::uint64_t seed =
       flags.has("seed") ? std::stoull(flags.require("seed")) : 1;
@@ -269,12 +294,7 @@ int cmd_run(const Flags& flags) {
   Options options;
   options.policy = policy_kind;
   options.seed = seed;
-  if (auto spec = flags.get("faults"); spec.has_value()) {
-    options.faults = faults::parse_fault_plan(*spec);
-  }
-  if (auto spec = flags.get("retry"); spec.has_value()) {
-    options.retry = faults::parse_retry_policy(*spec);
-  }
+  parse_fault_flags(flags, g.node_count(), options);
   const bool faulty = !options.faults.empty();
   const proto::InitialConfig init = default_initial_config(g, policy_kind);
   options.initial = init;
@@ -398,12 +418,7 @@ int cmd_serve(const Flags& flags) {
                        ? parse_policy(flags.require("policy"))
                        : proto::PolicyKind::kIvy;
   options.seed = seed;
-  if (auto spec = flags.get("faults"); spec.has_value()) {
-    options.faults = faults::parse_fault_plan(*spec);
-  }
-  if (auto spec = flags.get("retry"); spec.has_value()) {
-    options.retry = faults::parse_retry_policy(*spec);
-  }
+  parse_fault_flags(flags, g.node_count(), options);
 
   DirectoryService service(g, objects, shards, options, mode);
 
