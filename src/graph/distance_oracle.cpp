@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/assert.hpp"
+#include "support/hot.hpp"
 
 namespace arvy::graph {
 
@@ -11,10 +12,14 @@ DistanceOracle::DistanceOracle(const Graph& g)
 
 const ShortestPathTree& DistanceOracle::row(NodeId source) const {
   ARVY_EXPECTS(graph_->contains(source));
+  const auto& slot = rows_[source];
+  return slot ? *slot : fill_row(source);
+}
+
+ARVY_COLD const ShortestPathTree& DistanceOracle::fill_row(
+    NodeId source) const {
   auto& slot = rows_[source];
-  if (!slot) {
-    slot = std::make_unique<ShortestPathTree>(dijkstra(*graph_, source));
-  }
+  slot = std::make_unique<ShortestPathTree>(dijkstra(*graph_, source));
   return *slot;
 }
 

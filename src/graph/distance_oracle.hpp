@@ -35,6 +35,10 @@ class DistanceOracle {
 
  private:
   const ShortestPathTree& row(NodeId source) const;
+  // The lazy Dijkstra fill behind row(): out of line and ARVY_COLD, so a hot
+  // caller's audit stops at it (the runtime prewarms every row, so it never
+  // runs there).
+  const ShortestPathTree& fill_row(NodeId source) const;
 
   const Graph* graph_;
   // unique_ptr cells so cached rows have stable addresses; mutable because

@@ -41,7 +41,7 @@ ARVY_HOT void ArvyCore::reset_burst(bool holds_token) noexcept {
   token_serial_ = 0;
 }
 
-Effects ArvyCore::request_token(RequestId request) {
+Effects ArvyCore::request_token(RequestId request, FindMessage& find) {
   ARVY_EXPECTS(initialized_);
   ARVY_EXPECTS_MSG(!holds_token_, "requesting while holding the token");
   ARVY_EXPECTS_MSG(!outstanding_.has_value(),
@@ -50,30 +50,29 @@ Effects ArvyCore::request_token(RequestId request) {
   // the precondition above excludes.
   ARVY_ASSERT(!has_self_loop());
 
-  Effects effects;
-  FindMessage find;
   find.producer = id_;
   find.sender = id_;
-  find.visited = {id_};
+  find.visited.clear();
+  find.visited.push_back(id_);
   find.request = request;
   // Algorithm 2 plumbing: the message records whether the edge it traverses
   // (v, old p(v)) was the bridge; the requester's fresh self-loop is not.
   find.sender_edge_was_bridge = parent_edge_is_bridge();
-  effects.sends.push_back({parent(), Message{std::move(find)}});
+  Effects effects;
+  effects.send = Effects::Send::kFind;
+  effects.to = parent();
 
   set_parent(id_, false);  // line 3
   outstanding_ = request;
   return effects;
 }
 
-Effects ArvyCore::on_message(const Message& message) {
-  if (const auto* find = std::get_if<FindMessage>(&message)) {
-    return on_find(*find);
-  }
+Effects ArvyCore::on_message(Message& message) {
+  if (auto* find = std::get_if<FindMessage>(&message)) return on_find(*find);
   return on_token(std::get<TokenMessage>(message));
 }
 
-Effects ArvyCore::on_find(const FindMessage& find) {
+Effects ArvyCore::on_find(FindMessage& find) {
   ARVY_EXPECTS(initialized_);
   ARVY_EXPECTS(!find.visited.empty());
   ARVY_EXPECTS(find.visited.front() == find.producer);
@@ -102,23 +101,24 @@ Effects ArvyCore::on_find(const FindMessage& find) {
                   "policy returned a node outside the visited set");
   set_parent(decision.new_parent, decision.new_edge_is_bridge);
 
-  Effects effects;
   if (old_parent != id_) {  // lines 8-9: forward towards the old parent
-    FindMessage forwarded = find;
-    forwarded.sender = id_;
-    forwarded.visited.push_back(id_);
-    forwarded.sender_edge_was_bridge = old_bridge;
-    effects.sends.push_back({old_parent, Message{std::move(forwarded)}});
-  } else {  // lines 10-14: the find stops here
-    // Lemma 3's state machine: {L, N} is unreachable, so the next pointer
-    // must be free when a find terminates at a self-loop node.
-    ARVY_ASSERT_MSG(!next_.has_value(), "next pointer already occupied");
-    next_ = find.producer;  // line 11
-    if (holds_token_ && auto_send_token_) {
-      send_token_if_waiting(effects);  // line 13
-    }
+    find.sender = id_;
+    find.visited.push_back(id_);
+    find.sender_edge_was_bridge = old_bridge;
+    Effects effects;
+    effects.send = Effects::Send::kFind;
+    effects.to = old_parent;
+    return effects;
   }
-  return effects;
+  // Lines 10-14: the find stops here. Lemma 3's state machine: {L, N} is
+  // unreachable, so the next pointer must be free when a find terminates at
+  // a self-loop node.
+  ARVY_ASSERT_MSG(!next_.has_value(), "next pointer already occupied");
+  next_ = find.producer;  // line 11
+  if (holds_token_ && auto_send_token_) {
+    return send_token_if_waiting();  // line 13
+  }
+  return {};
 }
 
 Effects ArvyCore::on_token(const TokenMessage& token) {
@@ -129,28 +129,28 @@ Effects ArvyCore::on_token(const TokenMessage& token) {
   holds_token_ = true;
   token_serial_ = token.serial;
 
-  Effects effects;
-  effects.satisfied = outstanding_;  // line 21: use the token
+  const std::optional<RequestId> satisfied = outstanding_;  // line 21
   outstanding_.reset();
-  send_token_if_waiting(effects);  // line 22
+  Effects effects = send_token_if_waiting();  // line 22
+  effects.satisfied = satisfied;
   return effects;
 }
 
 Effects ArvyCore::flush_token() {
   ARVY_EXPECTS_MSG(holds_token_, "flush_token on a node without the token");
-  Effects effects;
-  send_token_if_waiting(effects);
-  return effects;
+  return send_token_if_waiting();
 }
 
-void ArvyCore::send_token_if_waiting(Effects& effects) {
+Effects ArvyCore::send_token_if_waiting() {
   ARVY_ASSERT(holds_token_);
-  if (!next_.has_value()) return;  // line 25: keep the token
-  TokenMessage token;
-  token.serial = token_serial_ + 1;
-  effects.sends.push_back({*next_, Message{token}});  // line 26
-  next_.reset();                                      // line 27
+  Effects effects;
+  if (!next_.has_value()) return effects;  // line 25: keep the token
+  effects.send = Effects::Send::kToken;
+  effects.to = *next_;
+  effects.token_serial = token_serial_ + 1;  // line 26
+  next_.reset();                             // line 27
   holds_token_ = false;
+  return effects;
 }
 
 }  // namespace arvy::proto

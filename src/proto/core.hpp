@@ -2,10 +2,13 @@
 //
 // ArvyCore runs one node's side of Algorithm 1 and turns each of the paper's
 // four event kinds (request token, receive message, receive token, send
-// token) into a list of outgoing messages. It performs no I/O: the
-// discrete-event engine (proto/engine.hpp) and the threaded runtime
-// (runtime/) both drive the same core, so correctness results carry across
-// transports.
+// token) into at most one outgoing message. It performs no I/O and owns no
+// message storage: a find is written into, or re-addressed in, a
+// FindMessage the transport passes in, so no event builds a container and
+// no hop copies a history (a find's history grows by one entry per hop,
+// which allocates only when the caller's buffer is full). The discrete-event
+// engine (proto/engine.hpp) and the threaded runtime (runtime/) both drive
+// the same core, so correctness results carry across transports.
 //
 // A node's state is split by lifetime. The persistent part - the parent
 // pointer p(v) and the ring-bridge flag - is what a parked object keeps
@@ -18,24 +21,28 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <type_traits>
 
 #include "proto/messages.hpp"
 #include "proto/policy.hpp"
 
 namespace arvy::proto {
 
-struct Outgoing {
-  NodeId to = graph::kInvalidNode;
-  Message payload;
-};
-
-// The externally visible result of one protocol event.
+// The externally visible result of one protocol event: Algorithm 1 sends at
+// most one message per event. A find's content is the FindMessage the event
+// was handed (request_token writes it, on_find re-addresses it in place); a
+// token carries only its serial.
 struct Effects {
-  std::vector<Outgoing> sends;
+  enum class Send : std::uint8_t { kNone, kFind, kToken };
+  Send send = Send::kNone;
+  NodeId to = graph::kInvalidNode;
+  std::uint64_t token_serial = 0;  // kToken only
   // Set when the token arrived here and satisfied this node's request.
   std::optional<RequestId> satisfied;
 };
+
+static_assert(std::is_trivially_copyable_v<Effects>,
+              "an event's result is a flat record, never a container");
 
 // Where one node's persistent state lives: its parent word and the 64-bit
 // word holding its bridge flag at bit v % 64. The transport owns both words
@@ -73,15 +80,21 @@ class ArvyCore {
   // a seated token must sit on the row's self-loop.
   void reset_burst(bool holds_token) noexcept;
 
-  // Lines 1-4: RequestToken. Precondition: the node neither holds the token
-  // nor has an outstanding request (the model's one-outstanding rule; the
-  // engine queues duplicates instead, see SimEngine).
-  [[nodiscard]] Effects request_token(RequestId request);
+  // Lines 1-4: RequestToken. Writes the new find into `find`, reusing its
+  // buffer (one visited entry), and returns the send to the old parent.
+  // Precondition: the node neither holds the token nor has an outstanding
+  // request (the model's one-outstanding rule; the engine queues duplicates
+  // instead, see SimEngine).
+  [[nodiscard]] Effects request_token(RequestId request, FindMessage& find);
 
-  // Lines 5-16 / 20-23: dispatch on the message alternative.
-  [[nodiscard]] Effects on_message(const Message& message);
-  [[nodiscard]] Effects on_find(const FindMessage& find);
+  // Lines 5-16: a forwarded find is re-addressed in place - this node
+  // becomes its sender and gains one visited entry - and sent to the old
+  // parent; a find that stops here is left unchanged.
+  [[nodiscard]] Effects on_find(FindMessage& find);
+  // Lines 20-23.
   [[nodiscard]] Effects on_token(const TokenMessage& token);
+  // Dispatches on the message alternative (a find is handled in place).
+  [[nodiscard]] Effects on_message(Message& message);
 
   // The paper's event model (§5) treats "send token" as its own event that
   // may occur any time after the enabling receive; Algorithm 1's pseudocode
@@ -116,7 +129,7 @@ class ArvyCore {
 
  private:
   // Lines 24-29: SendToken.
-  void send_token_if_waiting(Effects& effects);
+  [[nodiscard]] Effects send_token_if_waiting();
 
   [[nodiscard]] std::uint64_t bridge_bit() const noexcept {
     return std::uint64_t{1} << (id_ % 64);

@@ -42,7 +42,7 @@ proto::InitialConfig default_initial_config(const graph::Graph& g,
 }
 
 std::unique_ptr<proto::NewParentPolicy> resolve_policy(const Options& options) {
-  return proto::make_policy(options.policy, options.kback_k);
+  return proto::make_policy(options.policy, /*k=*/2);
 }
 
 proto::InitialConfig resolve_initial_config(const graph::Graph& g,

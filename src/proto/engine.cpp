@@ -57,7 +57,7 @@ SimEngine::SimEngine(const graph::Graph& g, const InitialConfig& init,
   walk_marks_.assign(n, 0);
   bridge_scratch_.resize(bridge_words(n));
   mark_dirty(init.root);
-  bus_.set_handler([this](const sim::MessageBus<Message>::InFlight& entry) {
+  bus_.set_handler([this](sim::MessageBus<Message>::InFlight& entry) {
     on_delivery(entry);
   });
   if (!options.faults.empty()) {
@@ -102,7 +102,8 @@ RequestId SimEngine::submit(NodeId v) {
     // only forbids *duplicate outstanding* requests.
     mark_satisfied(requests_.back());
   } else {
-    dispatch(v, core.request_token(id));
+    Message find{FindMessage{}};
+    dispatch(v, core.request_token(id, std::get<FindMessage>(find)), find);
   }
   if (post_event_hook_) post_event_hook_(*this);
   return id;
@@ -135,14 +136,15 @@ RequestId SimEngine::submit_queued(NodeId v) {
 
 // Hot-path discipline (lint `hotpath`): the per-event engine paths below
 // are ARVY_HOT - no allocation, locking, throwing, or logging. dispatch()
-// and on_delivery() stay un-annotated on purpose: they send (arena push)
-// and record traces; item 2's flat encoding is what shrinks them.
+// and on_delivery() stay un-annotated on purpose: they send (the arena and
+// a find's history may grow) and record traces.
 ARVY_HOT bool SimEngine::step() { return bus_.step(); }
 
 void SimEngine::flush_token(NodeId v) {
   ARVY_EXPECTS(v < cores_.size());
   mark_dirty(v);
-  dispatch(v, cores_[v].flush_token());
+  Message unused;  // SendToken sends no find
+  dispatch(v, cores_[v].flush_token(), unused);
   if (post_event_hook_) post_event_hook_(*this);
 }
 
@@ -305,7 +307,8 @@ ARVY_HOT void SimEngine::mark_satisfied(RequestRecord& record) {
   if (satisfied_hook_) satisfied_hook_(record);
 }
 
-void SimEngine::dispatch(NodeId from, Effects&& effects) {
+void SimEngine::dispatch(NodeId from, const Effects& effects,
+                         Message& payload) {
   if (effects.satisfied.has_value()) {
     auto& record = requests_.at(*effects.satisfied - 1);
     ARVY_ASSERT_MSG(!record.satisfied_at.has_value(),
@@ -321,57 +324,49 @@ void SimEngine::dispatch(NodeId from, Effects&& effects) {
     }
     queued_[from].clear();
   }
-  for (Outgoing& out : effects.sends) {
-    const double distance = oracle_.distance(from, out.to);
-    if (const auto* find = std::get_if<FindMessage>(&out.payload)) {
-      costs_.find_distance += distance;
-      ++costs_.find_messages;
-      costs_.max_visited_length =
-          std::max(costs_.max_visited_length, find->visited.size());
-      if (record_trace_) {
-        TraceEvent event;
-        event.kind = TraceEventKind::kFindSent;
-        event.at = bus_.now();
-        event.node = from;
-        event.from = from;
-        event.to = out.to;
-        event.producer = find->producer;
-        event.request = find->request;
-        event.distance = distance;
-        trace_.record(event);
-      }
-    } else {
-      costs_.token_distance += distance;
-      ++costs_.token_messages;
-      if (record_trace_) {
-        TraceEvent event;
-        event.kind = TraceEventKind::kTokenSent;
-        event.at = bus_.now();
-        event.node = from;
-        event.from = from;
-        event.to = out.to;
-        event.distance = distance;
-        trace_.record(event);
-      }
+  if (effects.send == Effects::Send::kNone) return;
+  const double distance = oracle_.distance(from, effects.to);
+  const FindMessage* find = effects.send == Effects::Send::kFind
+                                ? &std::get<FindMessage>(payload)
+                                : nullptr;
+  if (find != nullptr) {
+    costs_.find_distance += distance;
+    ++costs_.find_messages;
+    costs_.max_visited_length =
+        std::max(costs_.max_visited_length, find->visited.size());
+  } else {
+    costs_.token_distance += distance;
+    ++costs_.token_messages;
+  }
+  if (record_trace_) {
+    TraceEvent event;
+    event.kind = find != nullptr ? TraceEventKind::kFindSent
+                                 : TraceEventKind::kTokenSent;
+    event.at = bus_.now();
+    event.node = from;
+    event.from = from;
+    event.to = effects.to;
+    event.distance = distance;
+    if (find != nullptr) {
+      event.producer = find->producer;
+      event.request = find->request;
     }
-    bus_.send(from, out.to, std::move(out.payload), distance);
+    trace_.record(event);
+  }
+  if (find != nullptr) {
+    bus_.send(from, effects.to, std::move(payload), distance);
+  } else {
+    bus_.send(from, effects.to, Message{TokenMessage{effects.token_serial}},
+              distance);
   }
 }
 
-void SimEngine::on_delivery(const sim::MessageBus<Message>::InFlight& entry) {
+void SimEngine::on_delivery(sim::MessageBus<Message>::InFlight& entry) {
   if (message_hook_) message_hook_(entry);
   ArvyCore& core = cores_.at(entry.to);
   mark_dirty(entry.to);
-  Effects effects;
-  if (delivery_mutator_) {
-    // Bug-seeding seam: the mutated copy is what the core processes (and
-    // what its forwarded sends inherit); the wire entry stays untouched.
-    Message mutated = entry.payload;
-    delivery_mutator_(mutated);
-    effects = core.on_message(mutated);
-  } else {
-    effects = core.on_message(entry.payload);
-  }
+  if (delivery_mutator_) delivery_mutator_(entry.payload);
+  const Effects effects = core.on_message(entry.payload);
   if (record_trace_) {
     TraceEvent event;
     event.at = bus_.now();
@@ -389,7 +384,8 @@ void SimEngine::on_delivery(const sim::MessageBus<Message>::InFlight& entry) {
     }
     trace_.record(event);
   }
-  dispatch(entry.to, std::move(effects));
+  // A forwarded find leaves in the delivered payload's own storage.
+  dispatch(entry.to, effects, entry.payload);
   if (post_event_hook_) post_event_hook_(*this);
 }
 

@@ -234,18 +234,23 @@ class SimEngine {
   }
 
   // Bug-seeding seam for the model checker (tools/arvy_explore --seed-bug):
-  // when installed, every handled delivery's payload is passed through the
-  // mutator before the core processes it, so the explorer can inject a
-  // protocol-level corruption (e.g. a fabricated visited entry) and prove
-  // the invariant checker catches it. Never installed by production
-  // drivers; with no mutator the delivery path is untouched.
+  // when installed, every handled delivery's payload is edited in place by
+  // the mutator before the core processes it (a forwarded find inherits the
+  // edit), so the explorer can inject a protocol-level corruption (e.g. a
+  // fabricated visited entry) and prove the invariant checker catches it.
+  // Never installed by production drivers; with no mutator the delivery
+  // path is untouched.
   void set_delivery_mutator(std::function<void(Message&)> mutator) {
     delivery_mutator_ = std::move(mutator);
   }
 
  private:
-  void dispatch(NodeId from, Effects&& effects);
-  void on_delivery(const sim::MessageBus<Message>::InFlight& entry);
+  // Applies one event's effects at `from`: stamps the satisfied request (and
+  // the requests queued behind it), then charges and sends the event's at
+  // most one message. A find leaves in `payload`, the storage the core wrote
+  // it into.
+  void dispatch(NodeId from, const Effects& effects, Message& payload);
+  void on_delivery(sim::MessageBus<Message>::InFlight& entry);
   void mark_satisfied(RequestRecord& record);
 
   // Records that an event touched v; the list holds each node once.

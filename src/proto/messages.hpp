@@ -61,8 +61,5 @@ using Message = std::variant<FindMessage, TokenMessage>;
 [[nodiscard]] inline bool is_find(const Message& m) noexcept {
   return std::holds_alternative<FindMessage>(m);
 }
-[[nodiscard]] inline bool is_token(const Message& m) noexcept {
-  return std::holds_alternative<TokenMessage>(m);
-}
 
 }  // namespace arvy::proto

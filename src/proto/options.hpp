@@ -9,7 +9,6 @@
 // initializers, so the protocol fields come first and the threaded
 // transport knobs after them):
 //   .policy      NewParent policy (Arrow, Ivy, ring bridge, ...).
-//   .kback_k     k for PolicyKind::kKBack only.
 //   .discipline  sim-only: delivery order (timed / fifo / lifo / random).
 //   .seed        master seed for delivery, policy tie-breaks and faults.
 //   .delay       sim-only: DelayModel for Discipline::kTimed (cloned;
@@ -58,7 +57,6 @@ namespace arvy {
 struct Options {
   // --- protocol (every facade) ---------------------------------------------
   proto::PolicyKind policy = proto::PolicyKind::kIvy;
-  std::size_t kback_k = 2;  // only for PolicyKind::kKBack
   sim::Discipline discipline = sim::Discipline::kTimed;
   std::uint64_t seed = 1;
   // Shared so Options stays copyable; cloned into each engine.

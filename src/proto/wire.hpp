@@ -1,23 +1,24 @@
-// Flat POD wire encoding for protocol messages.
+// Flat POD wire encoding for protocol messages: the ring envelope.
 //
-// This is the prerequisite artifact for roadmap item 2 (zero-alloc MPSC
-// runtime path, socket transport): a message crosses a ring buffer or a
-// socket as one contiguous frame - a trivially copyable WireHeader followed
-// by `visited_count` raw NodeIds - so transports memcpy instead of chasing
-// a variant that owns a heap vector. The msgpod lint rule plus the
+// A message crosses an actor's ring mailbox as one contiguous frame - a
+// trivially copyable EnvelopeHeader (the fault layer's dedup word plus the
+// WireHeader frame prefix) followed by `visited_count` raw NodeIds - so the
+// runtime copies bytes instead of chasing a variant that owns a heap vector.
+// This is the only wire codec: the encoders write straight into a
+// preallocated slot, and the decoder returns a view whose visited span
+// aliases the slot; all of them are ARVY_HOT, so arvy_lint rejects any
+// allocation, lock, throw or log in them. The msgpod lint rule plus the
 // static_asserts below keep every struct in this header POD, which is what
-// makes the memcpy legal (and what the generated asserts in messages.hpp
-// protect on the rich side).
+// makes the memcpy legal.
 //
-// Scope: in-memory/wire layout for same-architecture endpoints (the
-// multi-process socket transport targets one host). Fields are fixed-width
-// and the encoder writes the header by memcpy, so the only portability
-// caveat is endianness, deliberately out of scope until a cross-machine
-// transport exists.
+// Scope: in-memory layout for same-architecture endpoints. Fields are
+// fixed-width and the encoders write the header by memcpy, so the only
+// portability caveat is endianness, deliberately out of scope until a
+// cross-machine transport exists.
 //
-// Round-trip contract (pinned by tests/test_wire.cpp):
-//   decode(encode(m)) reconstructs m exactly, for both alternatives of
-//   proto::Message, including the bridge flag and full visited history.
+// Round-trip contract (pinned by tests/test_wire.cpp): decode_envelope of
+// an encoded find, token or request reproduces every field, including the
+// bridge flag and the full visited history.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +26,6 @@
 #include <cstring>
 #include <span>
 #include <type_traits>
-#include <vector>
 
 #include "proto/messages.hpp"
 #include "support/assert.hpp"
@@ -58,85 +58,6 @@ static_assert(std::is_trivially_copyable_v<NodeId>);
 static_assert(sizeof(WireHeader) == 32,
               "keep the frame prefix dense: two cache lines of visited "
               "NodeIds fit a 160-byte frame");
-
-// Size in bytes of the encoded frame for `m`.
-[[nodiscard]] inline std::size_t encoded_size(const Message& m) {
-  if (const auto* find = std::get_if<FindMessage>(&m)) {
-    return sizeof(WireHeader) + find->visited.size() * sizeof(NodeId);
-  }
-  return sizeof(WireHeader);
-}
-
-// Appends the flat frame for `m` to `out`. Precondition: a find's visited
-// history fits the 16-bit count (65535 hops - orders of magnitude above any
-// graph this repo runs; the paper bounds visited by one entry per node).
-inline void encode(const Message& m, std::vector<std::byte>& out) {
-  WireHeader header;
-  std::span<const NodeId> trailer;
-  if (const auto* find = std::get_if<FindMessage>(&m)) {
-    ARVY_EXPECTS_MSG(find->visited.size() <= 0xffff,
-                     "visited history exceeds the wire count field");
-    header.kind = static_cast<std::uint8_t>(Kind::kFind);
-    if (find->sender_edge_was_bridge) header.flags |= kFlagSenderEdgeWasBridge;
-    header.visited_count = static_cast<std::uint16_t>(find->visited.size());
-    header.producer = find->producer;
-    header.sender = find->sender;
-    header.request = find->request;
-    trailer = find->visited;
-  } else {
-    header.kind = static_cast<std::uint8_t>(Kind::kToken);
-    header.token_serial = std::get<TokenMessage>(m).serial;
-  }
-  const std::size_t at = out.size();
-  out.resize(at + sizeof(WireHeader) + trailer.size() * sizeof(NodeId));
-  std::memcpy(out.data() + at, &header, sizeof(WireHeader));
-  if (!trailer.empty()) {
-    std::memcpy(out.data() + at + sizeof(WireHeader), trailer.data(),
-                trailer.size() * sizeof(NodeId));
-  }
-}
-
-// Decodes one frame. Precondition: `frame` is exactly one encode() result.
-[[nodiscard]] inline Message decode(std::span<const std::byte> frame) {
-  ARVY_EXPECTS_MSG(frame.size() >= sizeof(WireHeader),
-                   "frame shorter than a wire header");
-  WireHeader header;
-  std::memcpy(&header, frame.data(), sizeof(WireHeader));
-  if (header.kind == static_cast<std::uint8_t>(Kind::kToken)) {
-    ARVY_EXPECTS(frame.size() == sizeof(WireHeader));
-    return TokenMessage{header.token_serial};
-  }
-  ARVY_EXPECTS(header.kind == static_cast<std::uint8_t>(Kind::kFind));
-  const std::size_t trailer_bytes =
-      static_cast<std::size_t>(header.visited_count) * sizeof(NodeId);
-  ARVY_EXPECTS_MSG(frame.size() == sizeof(WireHeader) + trailer_bytes,
-                   "frame length disagrees with the header's visited count");
-  FindMessage find;
-  find.producer = header.producer;
-  find.sender = header.sender;
-  find.request = header.request;
-  find.sender_edge_was_bridge =
-      (header.flags & kFlagSenderEdgeWasBridge) != 0;
-  find.visited.resize(static_cast<std::size_t>(header.visited_count));
-  if (trailer_bytes > 0) {
-    std::memcpy(find.visited.data(), frame.data() + sizeof(WireHeader),
-                trailer_bytes);
-  }
-  return find;
-}
-
-// ---------------------------------------------------------------------------
-// Ring envelopes: the runtime's in-slot frame format.
-//
-// A RingMailbox slot holds exactly one envelope: an EnvelopeHeader (the wire
-// frame prefix plus the fault layer's dedup id) followed by the find's
-// visited trailer, same layout as encode() above. The encode/decode pair
-// below is the raw-pointer, zero-alloc face of that format - it writes into
-// a preallocated slot and reads back a *view* whose visited span aliases the
-// slot bytes, so the actor-to-actor path never touches the heap. These
-// functions are ARVY_HOT: tools/arvy_lint rejects any allocation, lock,
-// throw, or log that sneaks into them.
-// ---------------------------------------------------------------------------
 
 // Slot frame prefix. dedup is the fault injector's duplicate-collapse id
 // (0 = not a tracked duplicate), carried out-of-band of the protocol frame.
@@ -173,39 +94,45 @@ static_assert(std::is_trivially_copyable_v<EnvelopeView>);
   return sizeof(EnvelopeHeader) + visited_count * sizeof(NodeId);
 }
 
-// Writes the envelope for protocol message `m` into `out` (a ring slot of
-// at least envelope_bytes(m's visited size) bytes). Returns bytes written.
-ARVY_HOT inline std::size_t encode_envelope(const Message& m,
-                                            std::uint64_t dedup,
-                                            std::byte* out) {
+// Writes the envelope for `find` into `out` (a ring slot of at least
+// envelope_bytes(find.visited.size()) bytes). Returns bytes written.
+// Precondition: the visited history fits the 16-bit count (65535 hops -
+// orders of magnitude above any graph this repo runs; the paper bounds
+// visited by one entry per node).
+ARVY_HOT inline std::size_t encode_find_envelope(const FindMessage& find,
+                                                 std::uint64_t dedup,
+                                                 std::byte* out) {
+  ARVY_EXPECTS_MSG(find.visited.size() <= 0xffff,
+                   "visited history exceeds the wire count field");
   EnvelopeHeader header;
   header.dedup = dedup;
-  const NodeId* trailer = nullptr;
-  std::size_t trailer_count = 0;
-  if (const auto* find = std::get_if<FindMessage>(&m)) {
-    ARVY_EXPECTS_MSG(find->visited.size() <= 0xffff,
-                     "visited history exceeds the wire count field");
-    header.frame.kind = static_cast<std::uint8_t>(Kind::kFind);
-    if (find->sender_edge_was_bridge) {
-      header.frame.flags |= kFlagSenderEdgeWasBridge;
-    }
-    header.frame.visited_count =
-        static_cast<std::uint16_t>(find->visited.size());
-    header.frame.producer = find->producer;
-    header.frame.sender = find->sender;
-    header.frame.request = find->request;
-    trailer = find->visited.data();
-    trailer_count = find->visited.size();
-  } else {
-    header.frame.kind = static_cast<std::uint8_t>(Kind::kToken);
-    header.frame.token_serial = std::get<TokenMessage>(m).serial;
+  header.frame.kind = static_cast<std::uint8_t>(Kind::kFind);
+  if (find.sender_edge_was_bridge) {
+    header.frame.flags |= kFlagSenderEdgeWasBridge;
   }
+  header.frame.visited_count = static_cast<std::uint16_t>(find.visited.size());
+  header.frame.producer = find.producer;
+  header.frame.sender = find.sender;
+  header.frame.request = find.request;
   std::memcpy(out, &header, sizeof(EnvelopeHeader));
-  if (trailer_count > 0) {
-    std::memcpy(out + sizeof(EnvelopeHeader), trailer,
-                trailer_count * sizeof(NodeId));
+  if (!find.visited.empty()) {
+    std::memcpy(out + sizeof(EnvelopeHeader), find.visited.data(),
+                find.visited.size() * sizeof(NodeId));
   }
-  return envelope_bytes(trailer_count);
+  return envelope_bytes(find.visited.size());
+}
+
+// Writes a token envelope into `out`. Returns bytes written (always
+// sizeof(EnvelopeHeader)).
+ARVY_HOT inline std::size_t encode_token_envelope(std::uint64_t serial,
+                                                  std::uint64_t dedup,
+                                                  std::byte* out) {
+  EnvelopeHeader header;
+  header.dedup = dedup;
+  header.frame.kind = static_cast<std::uint8_t>(Kind::kToken);
+  header.frame.token_serial = serial;
+  std::memcpy(out, &header, sizeof(EnvelopeHeader));
+  return sizeof(EnvelopeHeader);
 }
 
 // Writes a kRequest envelope ("this actor requests the token for `request`")

@@ -1,10 +1,36 @@
 #include "runtime/actor_system.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "support/assert.hpp"
 
 namespace arvy::runtime {
+
+namespace {
+
+// The envelope for one event's send; a find is read from `find`, the
+// sender's scratch.
+ARVY_HOT std::size_t encode_send(const proto::Effects& send,
+                                 const proto::FindMessage& find,
+                                 std::uint64_t dedup, std::byte* out) {
+  return send.send == proto::Effects::Send::kFind
+             ? proto::wire::encode_find_envelope(find, dedup, out)
+             : proto::wire::encode_token_envelope(send.token_serial, dedup,
+                                                  out);
+}
+
+// A boxed copy of that envelope, for the cold paths.
+ARVY_COLD std::vector<std::byte> box(const proto::Effects& send,
+                                     const proto::FindMessage& find,
+                                     std::uint64_t dedup) {
+  std::vector<std::byte> frame(proto::wire::envelope_bytes(
+      send.send == proto::Effects::Send::kFind ? find.visited.size() : 0));
+  (void)encode_send(send, find, dedup, frame.data());
+  return frame;
+}
+
+}  // namespace
 
 ActorSystem::ActorSystem(const graph::Graph& g,
                          const proto::InitialConfig& init,
@@ -46,7 +72,7 @@ ActorSystem::ActorSystem(const graph::Graph& g,
                             init.parent_edge_is_bridge[v]);
     actor->ring.emplace(options_.ring_capacity, slot_bytes);
     actor->jitter_rng = seeder.split();
-    // Pre-size the decode scratch so the hot drain's assign() never grows it.
+    // Theorem 4 bounds a find's history by n: the scratch never grows.
     actor->scratch_find.visited.reserve(g.node_count());
     actors_.push_back(std::move(actor));
   }
@@ -275,6 +301,7 @@ ARVY_HOT void ActorSystem::process_frame(NodeActor& actor,
     // wire is at-least-once, the protocol core sees exactly-once.
     return;
   }
+  proto::FindMessage& find = actor.scratch_find;
   proto::Effects effects;
   switch (view.kind) {
     case proto::wire::Kind::kRequest:
@@ -283,20 +310,20 @@ ARVY_HOT void ActorSystem::process_frame(NodeActor& actor,
         note_satisfied(*actor.owner);
         return;
       }
-      effects = actor.core->request_token(view.request);
+      effects = actor.core->request_token(view.request, find);
       break;
     case proto::wire::Kind::kToken:
       effects = actor.core->on_token(proto::TokenMessage{view.token_serial});
       break;
-    case proto::wire::Kind::kFind: {
+    case proto::wire::Kind::kFind:
       // Rehydrate into the preallocated scratch: assign() into reserved
-      // storage copies the span without touching the heap. The vector's
-      // grow-and-throw branch is still statically present in the object
-      // code (the compiler cannot prove the capacity invariant), so the
-      // binary audit carries a declared allow edge for exactly this call
-      // site - see [audit] allow in docs/layers.toml.
-      proto::FindMessage& find = actor.scratch_find;
-      ARVY_ASSERT(view.visited.size() <= find.visited.capacity());
+      // storage copies the span without touching the heap, and the core's
+      // one appended entry still fits. The vector's grow-and-throw branches
+      // are still statically present in the object code (the compiler
+      // cannot prove the capacity invariant), so the binary audit carries
+      // declared allow edges for exactly these call sites - see [audit]
+      // allow in docs/layers.toml.
+      ARVY_ASSERT(view.visited.size() < find.visited.capacity());
       find.producer = view.producer;
       find.sender = view.sender;
       find.request = view.request;
@@ -304,68 +331,56 @@ ARVY_HOT void ActorSystem::process_frame(NodeActor& actor,
       find.visited.assign(view.visited.begin(), view.visited.end());
       effects = actor.core->on_find(find);
       break;
-    }
   }
-  deliver_effects(actor, std::move(effects));
-}
-
-void ActorSystem::process_envelope(NodeActor& actor, Envelope& envelope) {
-  if (envelope.dedup != 0 && !first_arrival(actor, envelope.dedup)) return;
-  proto::Effects effects = actor.core->on_message(envelope.payload);
-  deliver_effects(actor, std::move(effects));
+  deliver_effects(actor, effects);
 }
 
 ARVY_HOT void ActorSystem::deliver_effects(NodeActor& from,
-                                           proto::Effects&& effects) {
+                                           const proto::Effects& effects) {
   if (effects.satisfied.has_value()) note_satisfied(*from.owner);
-  for (proto::Outgoing& out : effects.sends) {
-    if (options_.max_jitter.count() > 0) {
-      const auto jitter = std::chrono::microseconds(
-          from.jitter_rng.next_below(
-              static_cast<std::uint64_t>(options_.max_jitter.count()) + 1));
-      std::this_thread::sleep_for(jitter);
-    }
-    const double distance = oracle_.distance(from.id, out.to);
-    // Single-writer accounting (see total_cost): load+store is exact here.
-    if (proto::is_find(out.payload)) {
-      from.find_cost.store(
-          from.find_cost.load(std::memory_order_relaxed) + distance,
-          std::memory_order_relaxed);
-      from.find_messages.store(
-          from.find_messages.load(std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-    } else {
-      from.token_cost.store(
-          from.token_cost.load(std::memory_order_relaxed) + distance,
-          std::memory_order_relaxed);
-      from.token_messages.store(
-          from.token_messages.load(std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-    }
-    if (injector_) {
-      Envelope envelope;
-      envelope.payload = std::move(out.payload);
-      envelope.from = from.id;
-      send_with_faults(out.to, std::move(envelope), distance);
-    } else {
-      enqueue_protocol(out.to, out.payload, /*dedup=*/0);
-    }
+  if (effects.send == proto::Effects::Send::kNone) return;
+  if (options_.max_jitter.count() > 0) {
+    const auto jitter = std::chrono::microseconds(from.jitter_rng.next_below(
+        static_cast<std::uint64_t>(options_.max_jitter.count()) + 1));
+    std::this_thread::sleep_for(jitter);
+  }
+  const double distance = oracle_.distance(from.id, effects.to);
+  // Single-writer accounting (see total_cost): load+store is exact here.
+  if (effects.send == proto::Effects::Send::kFind) {
+    from.find_cost.store(
+        from.find_cost.load(std::memory_order_relaxed) + distance,
+        std::memory_order_relaxed);
+    from.find_messages.store(
+        from.find_messages.load(std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
+  } else {
+    from.token_cost.store(
+        from.token_cost.load(std::memory_order_relaxed) + distance,
+        std::memory_order_relaxed);
+    from.token_messages.store(
+        from.token_messages.load(std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
+  }
+  if (injector_) {
+    send_with_faults(from, effects, distance);
+  } else {
+    enqueue_protocol(from, effects, /*dedup=*/0);
   }
 }
 
-ARVY_HOT void ActorSystem::enqueue_protocol(NodeId to,
-                                            const proto::Message& message,
+ARVY_HOT void ActorSystem::enqueue_protocol(const NodeActor& from,
+                                            const proto::Effects& send,
                                             std::uint64_t dedup) {
-  NodeActor& peer = *actors_[to];
-  const auto* find = std::get_if<proto::FindMessage>(&message);
-  ARVY_ASSERT(proto::wire::envelope_bytes(find ? find->visited.size() : 0) <=
-              peer.ring->slot_bytes());
+  NodeActor& peer = *actors_[send.to];
+  ARVY_ASSERT(send.send != proto::Effects::Send::kFind ||
+              proto::wire::envelope_bytes(from.scratch_find.visited.size()) <=
+                  peer.ring->slot_bytes());
   const PushResult result = peer.ring->try_push([&](std::byte* slot) {
-    (void)proto::wire::encode_envelope(message, dedup, slot);
+    (void)encode_send(send, from.scratch_find, dedup, slot);
   });
   if (result == PushResult::kFull) {
     // Never spin on a peer's full ring: this thread may be its drainer.
-    overflow_send(peer, message, dedup);
+    overflow_send(peer, box(send, from.scratch_find, dedup));
     return;
   }
   if (result == PushResult::kOk) peer.owner->park.notify();
@@ -373,12 +388,20 @@ ARVY_HOT void ActorSystem::enqueue_protocol(NodeId to,
   // of the teardown's accepted loss, not a contract violation.
 }
 
-void ActorSystem::overflow_send(NodeActor& peer, const proto::Message& message,
-                                std::uint64_t dedup) {
-  Envelope envelope;
-  envelope.payload = message;  // boxed copy - cold path only
-  envelope.dedup = dedup;
-  if (!peer.overflow.try_push(std::move(envelope))) return;  // accepted loss
+void ActorSystem::enqueue_frame(NodeId to, Frame&& frame) {
+  NodeActor& peer = *actors_[to];
+  const PushResult result = peer.ring->try_push([&](std::byte* slot) {
+    std::memcpy(slot, frame.data(), frame.size());
+  });
+  if (result == PushResult::kFull) {
+    overflow_send(peer, std::move(frame));
+    return;
+  }
+  if (result == PushResult::kOk) peer.owner->park.notify();
+}
+
+void ActorSystem::overflow_send(NodeActor& peer, Frame&& frame) {
+  if (!peer.overflow.try_push(std::move(frame))) return;  // accepted loss
   // The flag is part of the owner's park condition, so the notify's fence
   // covers it exactly like a ring publish.
   peer.overflow_nonempty.store(true, std::memory_order_release);
@@ -390,8 +413,8 @@ bool ActorSystem::first_arrival(NodeActor& actor, std::uint64_t dedup) {
 }
 
 void ActorSystem::drain_overflow(NodeActor& actor) {
-  while (auto envelope = actor.overflow.try_pop()) {
-    process_envelope(actor, *envelope);
+  while (auto frame = actor.overflow.try_pop()) {
+    process_frame(actor, frame->data());
   }
 }
 
@@ -403,24 +426,24 @@ double ActorSystem::fault_now() const {
          std::chrono::duration<double>(options_.fault_time_unit);
 }
 
-void ActorSystem::send_with_faults(NodeId to, Envelope&& envelope,
+void ActorSystem::send_with_faults(const NodeActor& from,
+                                   const proto::Effects& send,
                                    double distance) {
-  faults::MessageKind kind = faults::MessageKind::kToken;
-  faults::RequestId request = 0;
-  if (const auto* find = std::get_if<proto::FindMessage>(&envelope.payload)) {
-    kind = faults::MessageKind::kFind;
-    request = find->request;
-  }
+  const bool is_find = send.send == proto::Effects::Send::kFind;
+  const faults::MessageKind kind =
+      is_find ? faults::MessageKind::kFind : faults::MessageKind::kToken;
+  const faults::RequestId request = is_find ? from.scratch_find.request : 0;
   faults::Verdict verdict;
   {
     std::lock_guard<support::RankedMutex> lock(faults_mutex_);
-    verdict = injector_->on_send(kind, envelope.from, to, fault_now(),
+    verdict = injector_->on_send(kind, from.id, send.to, fault_now(),
                                  distance, request);
   }
   if (verdict.lost) return;  // permanently lost: retries exhausted/disabled
-  if (verdict.duplicates > 0) {
-    envelope.dedup = next_dedup_.fetch_add(1, std::memory_order_relaxed);
-  }
+  const std::uint64_t dedup =
+      verdict.duplicates > 0
+          ? next_dedup_.fetch_add(1, std::memory_order_relaxed)
+          : 0;
   const auto unit =
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           options_.fault_time_unit);
@@ -430,7 +453,7 @@ void ActorSystem::send_with_faults(NodeId to, Envelope&& envelope,
   for (std::uint32_t i = 0; i < verdict.duplicates; ++i) {
     const auto stagger = unit * (i + 1.0) * std::max(distance, 1.0);
     delayed_.push(
-        Deferred{to, envelope},
+        Deferred{send.to, box(send, from.scratch_find, dedup)},
         now +
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                 stagger));
@@ -439,19 +462,19 @@ void ActorSystem::send_with_faults(NodeId to, Envelope&& envelope,
     const auto defer =
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             unit * verdict.extra_delay);
-    delayed_.push(Deferred{to, std::move(envelope)}, now + defer);
+    delayed_.push(Deferred{send.to, box(send, from.scratch_find, dedup)},
+                  now + defer);
     return;
   }
-  enqueue_protocol(to, envelope.payload, envelope.dedup);
+  enqueue_protocol(from, send, dedup);
 }
 
 void ActorSystem::run_nurse() {
-  // Single consumer of the delayed queue: re-drives deferred envelopes into
+  // Single consumer of the delayed queue: re-drives deferred frames into
   // their target ring once due. The queue closes strictly before the rings
-  // do (see shutdown), and enqueue_protocol tolerates a closed ring anyway.
+  // do (see shutdown), and enqueue_frame tolerates a closed ring anyway.
   while (auto deferred = delayed_.pop_due()) {
-    enqueue_protocol(deferred->to, deferred->envelope.payload,
-                     deferred->envelope.dedup);
+    enqueue_frame(deferred->to, std::move(deferred->frame));
   }
 }
 

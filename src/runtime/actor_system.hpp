@@ -11,15 +11,16 @@
 // exact same protocol core.
 //
 // Hot path (all ARVY_HOT, checked by arvy_lint: no alloc/lock/throw/log):
-//   enqueue: encode_envelope into a claimed ring slot (one CAS) + the owner
-//   worker's EventCount::notify (a fence and a load); drain: acquire_batch
-//   -> decode_envelope views -> core dispatch -> deliver_effects ->
-//   release_batch. The only allocations left per message are inside
-//   ArvyCore itself (visited copies), shared with the sim transport. Cold
-//   paths stay conventional: a full ring overflows into the actor's boxed
-//   Mailbox (the overflow valve - a worker must never block on a ring it
-//   drains itself), and the fault nurse re-drives deferred deliveries the
-//   same way.
+//   enqueue: encode the envelope into a claimed ring slot (one CAS) + the
+//   owner worker's EventCount::notify (a fence and a load); drain:
+//   acquire_batch -> decode_envelope views -> core event -> deliver_effects
+//   -> release_batch. A message costs no allocation: each actor builds and
+//   re-addresses every find it sends in one scratch FindMessage reserved to
+//   n entries (Theorem 4 bounds a history by n), and the core's one send is
+//   encoded from there. Cold paths box a copy of the envelope bytes: a full
+//   ring overflows into the actor's boxed Mailbox (the overflow valve - a
+//   worker must never block on a ring it drains itself), and the fault
+//   nurse re-drives deferred deliveries the same way.
 //
 // Threading contract (checked under ThreadSanitizer by the tier-1 suite):
 //  - each core is touched only by the worker that owns its actor; the pool
@@ -143,19 +144,13 @@ class ActorSystem {
   }
 
  private:
-  // Boxed message format of the COLD paths only (overflow valve, delayed
-  // queue). The hot paths carry flat wire envelopes inside ring slots.
-  struct Envelope {
-    proto::Message payload;
-    NodeId from = graph::kInvalidNode;
-    // Non-zero when this envelope belongs to a duplicated send: copies share
-    // the id and the receiving actor handles only the first to arrive.
-    std::uint64_t dedup = 0;
-  };
+  // Boxed copy of one ring envelope (the bytes a slot would hold), for the
+  // COLD paths only: the overflow valve and the delayed queue.
+  using Frame = std::vector<std::byte>;
 
   struct Deferred {
     NodeId to = graph::kInvalidNode;
-    Envelope envelope;
+    Frame frame;
   };
 
   // One drain-side thread; producers notify `park` after publishing to
@@ -183,11 +178,12 @@ class ActorSystem {
     // Cold overflow valve: a worker that finds a peer's ring full must not
     // spin (it might BE that ring's drainer), so the frame falls back to a
     // boxed Mailbox, flagged here and drained before the next batch.
-    Mailbox<Envelope> overflow;
+    Mailbox<Frame> overflow;
     std::atomic<bool> overflow_nonempty{false};  // ARVY-ATOMIC(flag)
     support::Rng jitter_rng{0};
-    // Reused decode target for find frames: visited is reserved to the node
-    // count up front, so the hot drain's assign() never reallocates.
+    // Every find this actor receives is decoded into, and every find it
+    // sends is built or re-addressed in, this scratch. visited is reserved
+    // to the node count up front, so neither ever reallocates.
     proto::FindMessage scratch_find;
     // Dedup groups already handled; touched only by the owner worker.
     std::unordered_set<std::uint64_t> handled_dups;
@@ -205,31 +201,33 @@ class ActorSystem {
   // Drains up to batch_size ready ring slots (plus any overflow spill) of
   // one actor. Returns whether anything was processed.
   bool drain_actor(Worker& worker, NodeActor& actor);
-  // Decodes and dispatches one ring frame on the owner worker.
+  // Decodes and dispatches one envelope (a ring slot or a boxed frame) on
+  // the owner worker.
   void process_frame(NodeActor& actor, const std::byte* slot);
-  // Cold twin of process_frame for boxed overflow envelopes.
-  void process_envelope(NodeActor& actor, Envelope& envelope);
-  void deliver_effects(NodeActor& from, proto::Effects&& effects);
-  // Hot enqueue of a protocol message into `to`'s ring; spills to the
+  // Counts a satisfaction and sends the event's at most one message; a find
+  // is read from the actor's scratch.
+  void deliver_effects(NodeActor& from, const proto::Effects& effects);
+  // Hot enqueue of `from`'s send into the destination's ring; spills to the
   // overflow valve when full, drops (accepted loss) when closed.
-  void enqueue_protocol(NodeId to, const proto::Message& message,
+  void enqueue_protocol(const NodeActor& from, const proto::Effects& send,
                         std::uint64_t dedup);
+  // Cold twin of enqueue_protocol for a boxed frame (the nurse).
+  void enqueue_frame(NodeId to, Frame&& frame);
   // Cold overflow spill, out of line so enqueue stays hot-clean. ARVY_COLD
   // keeps it (and the std:: machinery it drags in) out of the callers'
   // .text.hot sections, so the binary audit sees the hot/cold boundary
   // exactly where the design puts it (see support/hot.hpp).
-  ARVY_COLD void overflow_send(NodeActor& peer, const proto::Message& message,
-                               std::uint64_t dedup);
+  ARVY_COLD void overflow_send(NodeActor& peer, Frame&& frame);
   [[nodiscard]] bool worker_has_work(const Worker& worker) const;
   // First-arrival check for a duplicated send's dedup group (cold: the
   // hash-table insert may rehash, i.e. allocate).
   ARVY_COLD [[nodiscard]] bool first_arrival(NodeActor& actor,
                                              std::uint64_t dedup);
   ARVY_COLD void drain_overflow(NodeActor& actor);
-  // Routes one envelope through the fault injector (which must be active):
-  // drops it, defers it, and/or fans out duplicate copies.
-  ARVY_COLD void send_with_faults(NodeId to, Envelope&& envelope,
-                                  double distance);
+  // Routes `from`'s send through the fault injector (which must be active):
+  // drops it, defers a boxed copy, and/or fans out duplicate copies.
+  ARVY_COLD void send_with_faults(const NodeActor& from,
+                                  const proto::Effects& send, double distance);
   // Current fault-schedule time: wall time since construction, in sim-time
   // units (fault_time_unit).
   [[nodiscard]] double fault_now() const;

@@ -86,8 +86,11 @@ class MessageBus {
   static_assert(std::is_trivially_copyable_v<InFlight> ||
                 !std::is_trivially_copyable_v<Msg>);
 
-  // Called when a message is delivered.
-  using Handler = std::function<void(const InFlight&)>;
+  // Called when a message is delivered. The entry is the bus's own copy,
+  // already retired from the arena, so the handler may move its payload
+  // straight back into send() (a forwarded message keeps its buffers); a
+  // handler taking `const InFlight&` binds as well.
+  using Handler = std::function<void(InFlight&)>;
 
   // Consulted once per send() when installed; see the header comment.
   using SendFilter = std::function<SendVerdict(

@@ -64,15 +64,16 @@ TEST(Lemma1, RequestAndRequestCommute) {
     nodes.u.initialize(7, false, false);
     nodes.v.initialize(8, false, false);
     Effects eu, ev;
+    FindMessage fu, fv;
     if (u_first) {
-      eu = nodes.u.request_token(1);
-      ev = nodes.v.request_token(2);
+      eu = nodes.u.request_token(1, fu);
+      ev = nodes.v.request_token(2, fv);
     } else {
-      ev = nodes.v.request_token(2);
-      eu = nodes.u.request_token(1);
+      ev = nodes.v.request_token(2, fv);
+      eu = nodes.u.request_token(1, fu);
     }
-    EXPECT_EQ(eu.sends.size(), 1u);
-    EXPECT_EQ(ev.sends.size(), 1u);
+    EXPECT_EQ(eu.send, Effects::Send::kFind);
+    EXPECT_EQ(ev.send, Effects::Send::kFind);
     return std::pair{snap(nodes.u), snap(nodes.v)};
   };
   EXPECT_EQ(run(true), run(false));
@@ -83,16 +84,17 @@ TEST(Lemma1, ReceiveFindAndRequestCommute) {
     TwoNodes nodes;
     nodes.u.initialize(7, false, false);   // will receive a find
     nodes.v.initialize(2, false, false);   // will request (parent is u)
-    const FindMessage incoming = find_by(9, {9, 3}, 4);
+    FindMessage incoming = find_by(9, {9, 3}, 4);
+    FindMessage own;
     Effects eu, ev;
     if (find_first) {
       eu = nodes.u.on_find(incoming);
-      ev = nodes.v.request_token(5);
+      ev = nodes.v.request_token(5, own);
     } else {
-      ev = nodes.v.request_token(5);
+      ev = nodes.v.request_token(5, own);
       eu = nodes.u.on_find(incoming);
     }
-    EXPECT_EQ(eu.sends.size(), 1u);  // forwarded to old parent 7
+    EXPECT_EQ(eu.send, Effects::Send::kFind);  // forwarded to old parent 7
     return std::pair{snap(nodes.u), snap(nodes.v)};
   };
   EXPECT_EQ(run(true), run(false));
@@ -103,8 +105,9 @@ TEST(Lemma1, ReceiveTokenAndReceiveFindCommute) {
     TwoNodes nodes;
     nodes.u.initialize(7, false, false);
     nodes.v.initialize(2, false, false);
-    (void)nodes.u.request_token(1);  // u awaits the token
-    const FindMessage incoming = find_by(9, {9, 3}, 4);
+    FindMessage own;
+    (void)nodes.u.request_token(1, own);  // u awaits the token
+    FindMessage incoming = find_by(9, {9, 3}, 4);
     Effects eu, ev;
     if (token_first) {
       eu = nodes.u.on_token(TokenMessage{6});
@@ -287,17 +290,16 @@ TEST(Lemma1, EffectsAreAlsoOrderIndependent) {
     nodes.u.initialize(7, false, false);
     nodes.v.initialize(8, false, false);
     Effects eu, ev;
+    FindMessage fu, fv;
     if (u_first) {
-      eu = nodes.u.request_token(1);
-      ev = nodes.v.request_token(2);
+      eu = nodes.u.request_token(1, fu);
+      ev = nodes.v.request_token(2, fv);
     } else {
-      ev = nodes.v.request_token(2);
-      eu = nodes.u.request_token(1);
+      ev = nodes.v.request_token(2, fv);
+      eu = nodes.u.request_token(1, fu);
     }
-    const auto& fu = std::get<FindMessage>(eu.sends[0].payload);
-    const auto& fv = std::get<FindMessage>(ev.sends[0].payload);
-    return std::tuple{eu.sends[0].to, fu.producer, fu.visited,
-                      ev.sends[0].to, fv.producer, fv.visited};
+    return std::tuple{eu.to, fu.producer, fu.visited,
+                      ev.to, fv.producer, fv.visited};
   };
   EXPECT_EQ(run(true), run(false));
 }

@@ -38,10 +38,10 @@ struct CoreFixture : ::testing::Test {
 
 TEST_F(CoreFixture, RequestSendsFindToParentAndSelfLoops) {
   ArvyCore node = make_node(2, 5, false, arrow.get());
-  const Effects effects = node.request_token(7);
-  ASSERT_EQ(effects.sends.size(), 1u);
-  EXPECT_EQ(effects.sends[0].to, 5u);
-  const auto& find = std::get<FindMessage>(effects.sends[0].payload);
+  FindMessage find = find_by(4, {4, 6, 1});  // stale content is overwritten
+  const Effects effects = node.request_token(7, find);
+  ASSERT_EQ(effects.send, Effects::Send::kFind);
+  EXPECT_EQ(effects.to, 5u);
   EXPECT_EQ(find.producer, 2u);
   EXPECT_EQ(find.sender, 2u);
   EXPECT_EQ(find.visited, (std::vector<NodeId>{2}));
@@ -53,8 +53,8 @@ TEST_F(CoreFixture, RequestSendsFindToParentAndSelfLoops) {
 
 TEST_F(CoreFixture, RequestCarriesAndClearsBridgeFlag) {
   ArvyCore node = make_node(2, 5, false, bridge.get(), /*is_bridge=*/true);
-  const Effects effects = node.request_token(1);
-  const auto& find = std::get<FindMessage>(effects.sends[0].payload);
+  FindMessage find;
+  (void)node.request_token(1, find);
   EXPECT_TRUE(find.sender_edge_was_bridge);
   EXPECT_FALSE(node.parent_edge_is_bridge());
 }
@@ -63,10 +63,10 @@ TEST_F(CoreFixture, FindIsForwardedToOldParentUnderArrow) {
   // Node 3 with parent 4 receives "find by 1" from 2: Arrow re-points 3 at
   // the sender 2 and forwards towards the old parent 4.
   ArvyCore node = make_node(3, 4, false, arrow.get());
-  const Effects effects = node.on_find(find_by(1, {1, 2}));
-  ASSERT_EQ(effects.sends.size(), 1u);
-  EXPECT_EQ(effects.sends[0].to, 4u);
-  const auto& forwarded = std::get<FindMessage>(effects.sends[0].payload);
+  FindMessage forwarded = find_by(1, {1, 2});
+  const Effects effects = node.on_find(forwarded);
+  ASSERT_EQ(effects.send, Effects::Send::kFind);
+  EXPECT_EQ(effects.to, 4u);
   EXPECT_EQ(forwarded.sender, 3u);
   EXPECT_EQ(forwarded.visited, (std::vector<NodeId>{1, 2, 3}));
   EXPECT_EQ(forwarded.producer, 1u);
@@ -76,7 +76,8 @@ TEST_F(CoreFixture, FindIsForwardedToOldParentUnderArrow) {
 
 TEST_F(CoreFixture, FindRepointsToProducerUnderIvy) {
   ArvyCore node = make_node(3, 4, false, ivy.get());
-  (void)node.on_find(find_by(1, {1, 2}));
+  FindMessage find = find_by(1, {1, 2});
+  (void)node.on_find(find);
   EXPECT_EQ(node.parent(), 1u);  // Ivy: the producer
 }
 
@@ -84,8 +85,8 @@ TEST_F(CoreFixture, ForwardedFindCarriesOldBridgeFlag) {
   // Node's own parent edge was the bridge; the forwarded hop must say so,
   // while the node's new edge (Arrow-chosen) is not a bridge.
   ArvyCore node = make_node(3, 4, false, bridge.get(), /*is_bridge=*/true);
-  const Effects effects = node.on_find(find_by(1, {1, 2}));
-  const auto& forwarded = std::get<FindMessage>(effects.sends[0].payload);
+  FindMessage forwarded = find_by(1, {1, 2});
+  (void)node.on_find(forwarded);
   EXPECT_TRUE(forwarded.sender_edge_was_bridge);
   EXPECT_FALSE(node.parent_edge_is_bridge());
   EXPECT_EQ(node.parent(), 2u);
@@ -93,32 +94,34 @@ TEST_F(CoreFixture, ForwardedFindCarriesOldBridgeFlag) {
 
 TEST_F(CoreFixture, BridgeCrossingShortcutsToProducer) {
   ArvyCore node = make_node(3, 4, false, bridge.get());
-  const Effects effects =
-      node.on_find(find_by(1, {1, 2}, 1, /*bridge_flag=*/true));
+  FindMessage find = find_by(1, {1, 2}, 1, /*bridge_flag=*/true);
+  const Effects effects = node.on_find(find);
   EXPECT_EQ(node.parent(), 1u);  // crossed the bridge: producer
   EXPECT_TRUE(node.parent_edge_is_bridge());
   // Still forwards towards the old parent.
-  ASSERT_EQ(effects.sends.size(), 1u);
-  EXPECT_EQ(effects.sends[0].to, 4u);
+  ASSERT_EQ(effects.send, Effects::Send::kFind);
+  EXPECT_EQ(effects.to, 4u);
 }
 
 TEST_F(CoreFixture, FindStopsAtSelfLoopWithoutToken) {
   // Node 3 requested earlier (self-loop, no token): the find parks as n(3).
   ArvyCore node = make_node(3, 5, false, arrow.get());
-  (void)node.request_token(9);
+  FindMessage own;
+  (void)node.request_token(9, own);
   ASSERT_TRUE(node.has_self_loop());
-  const Effects effects = node.on_find(find_by(1, {1, 2}));
-  EXPECT_TRUE(effects.sends.empty());
+  FindMessage find = find_by(1, {1, 2});
+  const Effects effects = node.on_find(find);
+  EXPECT_EQ(effects.send, Effects::Send::kNone);
   EXPECT_EQ(node.next(), std::optional<NodeId>{1});
   EXPECT_EQ(node.parent(), 2u);  // still re-points per policy
 }
 
 TEST_F(CoreFixture, FindAtTokenHolderSendsTokenImmediately) {
   ArvyCore root = make_node(4, 4, true, arrow.get());
-  const Effects effects = root.on_find(find_by(1, {1, 2}));
-  ASSERT_EQ(effects.sends.size(), 1u);
-  EXPECT_EQ(effects.sends[0].to, 1u);
-  EXPECT_TRUE(is_token(effects.sends[0].payload));
+  FindMessage find = find_by(1, {1, 2});
+  const Effects effects = root.on_find(find);
+  EXPECT_EQ(effects.send, Effects::Send::kToken);
+  EXPECT_EQ(effects.to, 1u);
   EXPECT_FALSE(root.holds_token());
   EXPECT_FALSE(root.next().has_value());  // cleared after sending
   EXPECT_EQ(root.parent(), 2u);
@@ -126,10 +129,11 @@ TEST_F(CoreFixture, FindAtTokenHolderSendsTokenImmediately) {
 
 TEST_F(CoreFixture, TokenSatisfiesOutstandingRequest) {
   ArvyCore node = make_node(2, 6, false, arrow.get());
-  (void)node.request_token(42);
+  FindMessage own;
+  (void)node.request_token(42, own);
   const Effects effects = node.on_token(TokenMessage{3});
   EXPECT_EQ(effects.satisfied, std::optional<RequestId>{42});
-  EXPECT_TRUE(effects.sends.empty());  // no next: token stays
+  EXPECT_EQ(effects.send, Effects::Send::kNone);  // no next: token stays
   EXPECT_TRUE(node.holds_token());
   EXPECT_FALSE(node.outstanding().has_value());
   EXPECT_EQ(node.token_serial(), 3u);
@@ -137,38 +141,74 @@ TEST_F(CoreFixture, TokenSatisfiesOutstandingRequest) {
 
 TEST_F(CoreFixture, TokenIsForwardedToNextAfterUse) {
   ArvyCore node = make_node(2, 6, false, arrow.get());
-  (void)node.request_token(1);
+  FindMessage own;
+  (void)node.request_token(1, own);
   // A find by node 9 terminates here first.
-  (void)node.on_find(find_by(9, {9, 5}, 2));
+  FindMessage find = find_by(9, {9, 5}, 2);
+  (void)node.on_find(find);
   ASSERT_EQ(node.next(), std::optional<NodeId>{9});
   const Effects effects = node.on_token(TokenMessage{3});
   EXPECT_EQ(effects.satisfied, std::optional<RequestId>{1});
-  ASSERT_EQ(effects.sends.size(), 1u);
-  EXPECT_EQ(effects.sends[0].to, 9u);
-  const auto& token = std::get<TokenMessage>(effects.sends[0].payload);
-  EXPECT_EQ(token.serial, 4u);  // serial increments per transfer
+  ASSERT_EQ(effects.send, Effects::Send::kToken);
+  EXPECT_EQ(effects.to, 9u);
+  EXPECT_EQ(effects.token_serial, 4u);  // serial increments per transfer
   EXPECT_FALSE(node.holds_token());
   EXPECT_FALSE(node.next().has_value());
 }
 
 TEST_F(CoreFixture, OnMessageDispatchesOnAlternative) {
   ArvyCore node = make_node(2, 6, false, arrow.get());
-  (void)node.request_token(1);
-  const Effects effects = node.on_message(Message{TokenMessage{0}});
+  FindMessage own;
+  (void)node.request_token(1, own);
+  Message token{TokenMessage{0}};
+  const Effects effects = node.on_message(token);
   EXPECT_TRUE(effects.satisfied.has_value());
+}
+
+TEST_F(CoreFixture, ForwardedFindKeepsTheCallersBuffer) {
+  // Lines 8-9 in place: the find is re-addressed in the storage it arrived
+  // in, gaining exactly one visited entry and no new buffer.
+  ArvyCore node = make_node(3, 4, false, ivy.get());
+  FindMessage find = find_by(1, {1, 2}, 5);
+  find.visited.reserve(8);
+  const NodeId* buffer = find.visited.data();
+  const Effects effects = node.on_find(find);
+  ASSERT_EQ(effects.send, Effects::Send::kFind);
+  EXPECT_EQ(find.visited.data(), buffer);
+  EXPECT_EQ(find.visited, (std::vector<NodeId>{1, 2, 3}));
+  EXPECT_EQ(find.sender, 3u);
+  EXPECT_EQ(find.producer, 1u);
+  EXPECT_EQ(find.request, 5u);
+}
+
+TEST_F(CoreFixture, FindStoppingAtSelfLoopComesBackUnchanged) {
+  ArvyCore node = make_node(3, 5, false, arrow.get());
+  FindMessage own;
+  (void)node.request_token(9, own);
+  FindMessage find = find_by(1, {1, 2}, 4, /*bridge_flag=*/true);
+  const FindMessage before = find;
+  const Effects effects = node.on_find(find);
+  EXPECT_EQ(effects.send, Effects::Send::kNone);
+  EXPECT_EQ(find.producer, before.producer);
+  EXPECT_EQ(find.sender, before.sender);
+  EXPECT_EQ(find.visited, before.visited);
+  EXPECT_EQ(find.sender_edge_was_bridge, before.sender_edge_was_bridge);
+  EXPECT_EQ(find.request, before.request);
 }
 
 using CoreDeath = CoreFixture;
 
 TEST_F(CoreDeath, RequestWhileHoldingTokenAborts) {
   ArvyCore root = make_node(0, 0, true, arrow.get());
-  EXPECT_DEATH((void)root.request_token(1), "holding the token");
+  FindMessage find;
+  EXPECT_DEATH((void)root.request_token(1, find), "holding the token");
 }
 
 TEST_F(CoreDeath, DuplicateOutstandingRequestAborts) {
   ArvyCore node = make_node(1, 0, false, arrow.get());
-  (void)node.request_token(1);
-  EXPECT_DEATH((void)node.request_token(2), "duplicate outstanding");
+  FindMessage find;
+  (void)node.request_token(1, find);
+  EXPECT_DEATH((void)node.request_token(2, find), "duplicate outstanding");
 }
 
 TEST_F(CoreDeath, TokenWithoutOutstandingRequestAborts) {
@@ -178,7 +218,8 @@ TEST_F(CoreDeath, TokenWithoutOutstandingRequestAborts) {
 
 TEST_F(CoreDeath, RevisitingFindAborts) {
   ArvyCore node = make_node(3, 4, false, arrow.get());
-  EXPECT_DEATH((void)node.on_find(find_by(1, {1, 3, 2})), "revisited");
+  FindMessage find = find_by(1, {1, 3, 2});
+  EXPECT_DEATH((void)node.on_find(find), "revisited");
 }
 
 TEST_F(CoreDeath, MalformedVisitedOrderAborts) {

@@ -34,6 +34,8 @@
 //   arvy_cli gen --graph grid:6x6 --out mesh.graph && arvy_cli info --graph mesh.graph
 //   arvy_cli serve --graph grid:4x4 --objects 100000 --shards 4 --requests 20000
 //       --mode live --faults drop=0.1,shards=0 --verify-sample 4
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -43,6 +45,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "analysis/competitive.hpp"
 #include "analysis/latency.hpp"
@@ -73,6 +76,27 @@ using graph::NodeId;
   std::exit(2);
 }
 
+// The one numeric parser for flags and graph-spec fields: the whole of
+// `text` must be a decimal number of type T, and a finite one for a
+// floating T. Anything else is a usage error naming `what`, the flag or
+// spec it came from.
+template <typename T>
+T parse_number(const std::string& what, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  bool ok = !text.empty() && error == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) usage_error(what + ": '" + text + "' is not a valid number");
+  return value;
+}
+
+// A parsed value outside its documented range is a usage error too.
+void check_range(bool in_range, const std::string& what,
+                 const std::string& rule) {
+  if (!in_range) usage_error(what + ": " + rule);
+}
+
 struct Flags {
   std::map<std::string, std::string> values;
 
@@ -88,6 +112,15 @@ struct Flags {
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return values.count(key) > 0;
+  }
+  // A numeric flag through parse_number: required, or `fallback` if absent.
+  template <typename T>
+  [[nodiscard]] T number(const std::string& key) const {
+    return parse_number<T>("--" + key, require(key));
+  }
+  template <typename T>
+  [[nodiscard]] T number(const std::string& key, T fallback) const {
+    return has(key) ? number<T>(key) : fallback;
   }
 };
 
@@ -126,32 +159,58 @@ graph::Graph build_graph(const std::string& spec, std::uint64_t seed) {
     return graph::read_edge_list(in);
   }
   const auto parts = split(spec, ':');
-  const std::string& kind = parts[0];
+  const std::string& kind = parts.empty() ? spec : parts[0];
+  const std::string what = "graph spec " + spec;
   support::Rng rng(seed);
-  auto num = [&](std::size_t index) -> std::size_t {
-    if (index >= parts.size()) usage_error("graph spec " + spec + " needs more parameters");
-    return std::stoul(parts[index]);
+  // Field `index` of the spec, parsed; each generator's documented range is
+  // checked here, before the generator's own precondition could abort.
+  const auto field = [&](std::size_t index) -> const std::string& {
+    if (index >= parts.size()) usage_error(what + " needs more parameters");
+    return parts[index];
   };
-  if (kind == "ring") return graph::make_ring(num(1));
-  if (kind == "wring") return graph::make_weighted_ring(num(1), rng, 0.5, 3.0);
-  if (kind == "path") return graph::make_path(num(1));
-  if (kind == "star") return graph::make_star(num(1));
-  if (kind == "complete") return graph::make_complete(num(1));
-  if (kind == "hypercube") return graph::make_hypercube(num(1));
-  if (kind == "tree") return graph::make_random_tree(num(1), rng);
+  const auto count = [&](std::size_t index, std::size_t min) {
+    const auto n = parse_number<std::size_t>(what, field(index));
+    check_range(n >= min, what, "N must be at least " + std::to_string(min));
+    return n;
+  };
+  if (kind == "ring") return graph::make_ring(count(1, 3));
+  if (kind == "wring") {
+    return graph::make_weighted_ring(count(1, 3), rng, 0.5, 3.0);
+  }
+  if (kind == "path") return graph::make_path(count(1, 2));
+  if (kind == "star") return graph::make_star(count(1, 2));
+  if (kind == "complete") return graph::make_complete(count(1, 2));
+  if (kind == "hypercube") {
+    const auto dimension = parse_number<std::size_t>(what, field(1));
+    check_range(dimension >= 1 && dimension <= 20, what,
+                "D must be in [1, 20]");
+    return graph::make_hypercube(dimension);
+  }
+  if (kind == "tree") return graph::make_random_tree(count(1, 1), rng);
   if (kind == "grid" || kind == "torus") {
-    const auto dims = split(parts.size() > 1 ? parts[1] : "", 'x');
-    if (dims.size() != 2) usage_error("grid/torus spec needs RxC");
-    const std::size_t rows = std::stoul(dims[0]);
-    const std::size_t cols = std::stoul(dims[1]);
-    return kind == "grid" ? graph::make_grid(rows, cols)
-                          : graph::make_torus(rows, cols);
+    const auto dims = split(field(1), 'x');
+    if (dims.size() != 2) usage_error(what + ": grid/torus spec needs RxC");
+    const std::size_t rows = parse_number<std::size_t>(what, dims[0]);
+    const std::size_t cols = parse_number<std::size_t>(what, dims[1]);
+    if (kind == "torus") {
+      check_range(rows >= 3 && cols >= 3, what, "R and C must be at least 3");
+      return graph::make_torus(rows, cols);
+    }
+    check_range(rows >= 1 && cols >= 1 && rows * cols >= 2, what,
+                "R and C must be at least 1, with at least 2 nodes");
+    return graph::make_grid(rows, cols);
   }
   if (kind == "gnp") {
-    return graph::make_connected_gnp(num(1), std::stod(parts.at(2)), rng);
+    const std::size_t n = count(1, 2);
+    const double p = parse_number<double>(what, field(2));
+    check_range(p >= 0.0 && p <= 1.0, what, "P must be in [0, 1]");
+    return graph::make_connected_gnp(n, p, rng);
   }
   if (kind == "geo") {
-    return graph::make_random_geometric(num(1), std::stod(parts.at(2)), rng);
+    const std::size_t n = count(1, 2);
+    const double radius = parse_number<double>(what, field(2));
+    check_range(radius > 0.0, what, "R must be positive");
+    return graph::make_random_geometric(n, radius, rng);
   }
   usage_error("unknown graph spec " + spec);
 }
@@ -184,8 +243,7 @@ std::vector<NodeId> build_workload(const std::string& kind,
 }
 
 int cmd_gen(const Flags& flags) {
-  const std::uint64_t seed =
-      flags.has("seed") ? std::stoull(flags.require("seed")) : 1;
+  const auto seed = flags.number<std::uint64_t>("seed", 1);
   const graph::Graph g = build_graph(flags.require("graph"), seed);
   if (auto out = flags.get("out"); out.has_value()) {
     std::ofstream file(*out);
@@ -200,8 +258,7 @@ int cmd_gen(const Flags& flags) {
 }
 
 int cmd_info(const Flags& flags) {
-  const std::uint64_t seed =
-      flags.has("seed") ? std::stoull(flags.require("seed")) : 1;
+  const auto seed = flags.number<std::uint64_t>("seed", 1);
   const graph::Graph g = build_graph(flags.require("graph"), seed);
   const auto metric = metric_summary(g);
   std::printf("nodes:        %zu\n", g.node_count());
@@ -284,11 +341,21 @@ void parse_fault_flags(const Flags& flags, std::size_t nodes,
 }
 
 int cmd_run(const Flags& flags) {
-  const std::uint64_t seed =
-      flags.has("seed") ? std::stoull(flags.require("seed")) : 1;
+  const auto seed = flags.number<std::uint64_t>("seed", 1);
   const graph::Graph g = build_graph(flags.require("graph"), seed);
+  check_range(g.node_count() >= 2, "--graph", "run needs at least 2 nodes");
   const proto::PolicyKind policy_kind = parse_policy(flags.require("policy"));
-  const std::size_t count = std::stoul(flags.require("requests"));
+  const auto count = flags.number<std::size_t>("requests");
+  const std::string transport = flags.get("transport").value_or("sim");
+  if (transport != "sim" && transport != "live") {
+    usage_error("--transport must be sim or live");
+  }
+  std::optional<double> rate;
+  if (flags.has("concurrent")) {
+    rate = flags.number<double>("concurrent");
+    check_range(*rate > 0.0, "--concurrent",
+                "the arrival rate must be positive");
+  }
   support::Rng rng(seed + 100);
 
   Options options;
@@ -299,8 +366,8 @@ int cmd_run(const Flags& flags) {
   const proto::InitialConfig init = default_initial_config(g, policy_kind);
   options.initial = init;
 
-  if (flags.get("transport").value_or("sim") == "live") {
-    if (flags.has("concurrent")) {
+  if (transport == "live") {
+    if (rate.has_value()) {
       usage_error("--transport live drives a sequential workload only");
     }
     const std::string workload_kind = flags.get("workload").value_or("uniform");
@@ -330,11 +397,10 @@ int cmd_run(const Flags& flags) {
   }
 
   double opt = 0.0;
-  if (flags.has("concurrent")) {
-    const double rate = std::stod(flags.require("concurrent"));
+  if (rate.has_value()) {
     const std::size_t arrivals = std::min(count, g.node_count());
     const auto requests =
-        workload::poisson_arrivals(g.node_count(), arrivals, rate, rng);
+        workload::poisson_arrivals(g.node_count(), arrivals, *rate, rng);
     directory.run_concurrent(requests);
     std::vector<NodeId> requesters;
     for (const auto& r : requests) requesters.push_back(r.node);
@@ -363,7 +429,7 @@ int cmd_run(const Flags& flags) {
                  support::Table::cell(costs.token_distance, 1)});
   table.add_row({"find_messages", support::Table::cell(costs.find_messages)});
   table.add_row({"token_messages", support::Table::cell(costs.token_messages)});
-  table.add_row({flags.has("concurrent") ? "opt_lower_bound" : "opt",
+  table.add_row({rate.has_value() ? "opt_lower_bound" : "opt",
                  support::Table::cell(opt, 1)});
   if (opt > 0.0) {
     table.add_row({"ratio_find_only",
@@ -394,15 +460,15 @@ int cmd_run(const Flags& flags) {
 // driven by a Zipf object/node workload, with a sampled Lemma-2 sweep at
 // the end. The CLI face of ROADMAP item 1.
 int cmd_serve(const Flags& flags) {
-  const std::uint64_t seed =
-      flags.has("seed") ? std::stoull(flags.require("seed")) : 1;
+  const auto seed = flags.number<std::uint64_t>("seed", 1);
   const graph::Graph g = build_graph(flags.require("graph"), seed);
-  const std::size_t objects = std::stoul(flags.require("objects"));
-  const std::size_t requests = std::stoul(flags.require("requests"));
-  const std::size_t shards =
-      flags.has("shards") ? std::stoul(flags.require("shards")) : 2;
-  const double alpha =
-      flags.has("alpha") ? std::stod(flags.require("alpha")) : 0.9;
+  check_range(g.node_count() >= 2, "--graph", "serve needs at least 2 nodes");
+  const auto objects = flags.number<std::size_t>("objects");
+  const auto requests = flags.number<std::size_t>("requests");
+  const auto shards = flags.number<std::size_t>("shards", 2);
+  const auto alpha = flags.number<double>("alpha", 0.9);
+  check_range(alpha >= 0.0, "--alpha", "the Zipf skew must not be negative");
+  const auto per_shard = flags.number<std::size_t>("verify-sample", 4);
   const std::string mode_name = flags.get("mode").value_or("sim");
   if (mode_name != "sim" && mode_name != "live") {
     usage_error("--mode must be sim or live");
@@ -438,9 +504,6 @@ int cmd_serve(const Flags& flags) {
   const bool drained = service.drain(std::chrono::milliseconds(120'000));
   if (mode == ServiceMode::kLive) service.shutdown();
 
-  const std::size_t per_shard =
-      flags.has("verify-sample") ? std::stoul(flags.require("verify-sample"))
-                                 : 4;
   const auto report = service.check_sampled(per_shard, seed);
   const auto costs = service.cost_snapshot();
   const double satisfied =

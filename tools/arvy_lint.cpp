@@ -40,17 +40,20 @@
 //                compiler placed in a .text.hot.* section (support/hot.hpp
 //                + -ffunction-sections) and rejects any path to an [audit]
 //                banned symbol (allocators, pthread mutex/cond, throw
-//                helpers, logging). .text.unlikely.* sections (ARVY_COLD
-//                escape hatches and compiler-split cold halves) are the
-//                declared cold side and are not descended into; [audit]
-//                assume_clean stops traversal at documented boundaries and
-//                [audit] allow declares tolerated caller->callee edges.
-//                This closes the hotpath rule's lexical blind spots
-//                (typedef laundering, allocation inlined through std::
-//                internals) at the instruction level. Known limits: calls
-//                through function pointers stored elsewhere are invisible
-//                to relocations, and undefined symbols that are not banned
-//                are trusted leaves (memcpy and friends).
+//                helpers, logging). A call into a function another object
+//                under DIR/src defines is followed into that object, so a
+//                path is checked across translation units. .text.unlikely.*
+//                sections (ARVY_COLD escape hatches and compiler-split cold
+//                halves) are the declared cold side and are not descended
+//                into; [audit] assume_clean stops traversal at documented
+//                boundaries and [audit] allow declares tolerated
+//                caller->callee edges. This closes the hotpath rule's
+//                lexical blind spots (typedef laundering, allocation
+//                inlined through std:: internals) at the instruction level.
+//                Known limits: calls through function pointers stored
+//                elsewhere are invisible to relocations, and symbols
+//                defined nowhere under DIR/src that are not banned are
+//                trusted leaves (memcpy and friends).
 //
 // Suppression: `// ARVY-LINT-ALLOW(rule)` (optionally `(rule1,rule2)`, with
 // a trailing `: justification`) is the single suppression mechanism. It
@@ -1154,11 +1157,14 @@ class Linter {
       std::exit(2);
     }
 
-    std::size_t hot_total = 0;
+    std::vector<AuditObject> parsed;
+    parsed.reserve(objects.size());
     for (const fs::path& obj : objects) {
       ++audit_objects_scanned_;
-      hot_total += audit_object(obj);
+      parsed.push_back(parse_object(obj));
     }
+    std::size_t hot_total = 0;
+    for (const AuditObject& o : parsed) hot_total += o.hot_sections.size();
     audit_hot_functions_ = hot_total;
     if (hot_total == 0) {
       std::cerr << "arvy_lint: no .text.hot.* sections in any object under '"
@@ -1168,10 +1174,21 @@ class Linter {
                    "Release/RelWithDebInfo tree\n";
       std::exit(2);
     }
+    walk_hot_graph(parsed);
   }
 
-  // Audits one object file; returns the number of hot root sections found.
-  std::size_t audit_object(const fs::path& obj) {
+  // One object file's share of the call graph.
+  struct AuditObject {
+    std::string rel;  // path relative to the audited build tree
+    std::map<std::string, std::string> symbol_section;  // sym -> section
+    std::map<std::string, std::string> section_func;    // section -> function
+    std::vector<std::string> global_symbols;  // non-local definitions
+    std::vector<std::string> hot_sections;
+    std::map<std::string, std::vector<std::string>> section_targets;
+  };
+
+  // Reads one object's symbol table and relocations.
+  AuditObject parse_object(const fs::path& obj) const {
     const std::string quoted = shell_quote(obj.string());
     std::string symtab;
     std::string relocs;
@@ -1180,12 +1197,13 @@ class Linter {
       std::cerr << "arvy_lint: objdump failed on '" << obj.string() << "'\n";
       std::exit(2);
     }
+    AuditObject out;
+    out.rel =
+        fs::path(obj.lexically_relative(fs::path(options_.audit_objects_dir)))
+            .generic_string();
 
     // Symbol table: which section is each defined symbol in, and what is the
     // (function) symbol that names each section.
-    std::map<std::string, std::string> symbol_section;  // sym -> section
-    std::map<std::string, std::string> section_func;    // section -> function
-    std::vector<std::string> hot_sections;
     {
       std::istringstream in(symtab);
       std::string line;
@@ -1210,28 +1228,28 @@ class Linter {
           // Section symbol row: this is where .text.hot.* roots surface even
           // when the function symbol itself is local.
           if (section.rfind(".text.hot.", 0) == 0) {
-            hot_sections.push_back(section);
+            out.hot_sections.push_back(section);
           }
           continue;
         }
-        symbol_section[name] = section;
+        out.symbol_section[name] = section;
+        // The first flag column is 'l' for a local symbol; only global and
+        // weak definitions can satisfy another object's reference.
+        if (sec > 1 && toks[1][0] != 'l') out.global_symbols.push_back(name);
         // Function symbols carry an 'F' flag column before the section.
         bool is_func = false;
         for (std::size_t k = 1; k < sec; ++k) {
           if (toks[k] == "F") is_func = true;
         }
-        if (is_func && section_func.find(section) == section_func.end()) {
-          section_func[section] = name;
-        }
+        if (is_func) out.section_func.emplace(section, name);
       }
     }
-    std::sort(hot_sections.begin(), hot_sections.end());
-    hot_sections.erase(std::unique(hot_sections.begin(), hot_sections.end()),
-                       hot_sections.end());
-    if (hot_sections.empty()) return 0;
+    std::sort(out.hot_sections.begin(), out.hot_sections.end());
+    out.hot_sections.erase(
+        std::unique(out.hot_sections.begin(), out.hot_sections.end()),
+        out.hot_sections.end());
 
     // Relocations: the outgoing call/reference edges of every section.
-    std::map<std::string, std::vector<std::string>> section_targets;
     {
       std::istringstream in(relocs);
       std::string line;
@@ -1257,24 +1275,44 @@ class Linter {
         const std::size_t cut = std::min(plus, minus);
         if (cut != std::string::npos) target = target.substr(0, cut);
         if (target.empty()) continue;
-        section_targets[current].push_back(std::move(target));
+        out.section_targets[current].push_back(std::move(target));
+      }
+    }
+    return out;
+  }
+
+  // BFS over (object, section) nodes from every hot root. A relocation to a
+  // symbol the object does not define resolves to its global definition in
+  // another src/ object, so a hot path is followed across translation units;
+  // a symbol defined nowhere under src/ stays a trusted leaf. parent[]
+  // remembers the edge that first reached each node so a violation can
+  // print the call chain.
+  void walk_hot_graph(const std::vector<AuditObject>& objects) {
+    using Node = std::pair<std::size_t, std::string>;  // (object, section)
+    std::map<std::string, Node> definitions;  // global symbol -> node
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+      for (const std::string& name : objects[i].global_symbols) {
+        // The first definition wins (COMDAT copies are identical).
+        definitions.emplace(name,
+                            Node{i, objects[i].symbol_section.at(name)});
       }
     }
 
-    // BFS over sections from the hot roots. parent[] remembers the edge that
-    // first reached each section so a violation can print the call chain.
-    const std::string obj_rel =
-        fs::path(obj.lexically_relative(fs::path(options_.audit_objects_dir)))
-            .generic_string();
-    std::map<std::string, std::string> parent;  // section -> caller section
-    std::set<std::string> visited;
-    std::set<std::pair<std::string, std::string>> reported;
-    std::vector<std::string> queue = hot_sections;
-    for (const auto& h : hot_sections) visited.insert(h);
+    std::map<Node, Node> parent;
+    std::set<Node> visited;
+    std::set<std::pair<Node, std::string>> reported;
+    std::vector<Node> queue;
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+      for (const std::string& h : objects[i].hot_sections) {
+        visited.insert({i, h});
+        queue.push_back({i, h});
+      }
+    }
 
-    auto section_name_of = [&](const std::string& section) {
-      const auto it = section_func.find(section);
-      if (it != section_func.end()) return demangle(it->second);
+    auto section_name_of = [&](const Node& node) {
+      const auto& [obj, section] = node;
+      const auto it = objects[obj].section_func.find(section);
+      if (it != objects[obj].section_func.end()) return demangle(it->second);
       // .text.hot.<mangled> / .text.<mangled>: recover the function name
       // from the section name itself.
       for (const std::string_view prefix :
@@ -1286,9 +1324,9 @@ class Linter {
       }
       return section;
     };
-    auto chain_of = [&](const std::string& section) {
-      std::vector<std::string> hops{section_name_of(section)};
-      std::string cur = section;
+    auto chain_of = [&](const Node& node) {
+      std::vector<std::string> hops{section_name_of(node)};
+      Node cur = node;
       while (true) {
         const auto it = parent.find(cur);
         if (it == parent.end()) break;
@@ -1302,30 +1340,35 @@ class Linter {
       }
       return out;
     };
+    auto follow = [&](const Node& from, const Node& to) {
+      const std::string& tsec = to.second;
+      if (tsec.rfind(".text", 0) != 0) return;  // data/rodata/jump tables
+      if (tsec.rfind(".text.unlikely.", 0) == 0) return;  // cold half
+      if (visited.insert(to).second) {
+        parent[to] = from;
+        queue.push_back(to);
+      }
+    };
 
     while (!queue.empty()) {
-      const std::string section = queue.back();
+      const Node node = queue.back();
       queue.pop_back();
-      const auto edges = section_targets.find(section);
-      if (edges == section_targets.end()) continue;
+      const AuditObject& object = objects[node.first];
+      const auto edges = object.section_targets.find(node.second);
+      if (edges == object.section_targets.end()) continue;
       for (const std::string& target : edges->second) {
         // A target that IS a section name (e.g. ".text.foo" from a PC32
         // reloc against a local symbol) is followed directly.
         if (target[0] == '.') {
-          if (target.rfind(".text", 0) != 0) continue;  // data/rodata/jump tbl
-          if (target.rfind(".text.unlikely.", 0) == 0) continue;  // cold half
-          if (visited.insert(target).second) {
-            parent[target] = section;
-            queue.push_back(target);
-          }
+          follow(node, {node.first, target});
           continue;
         }
         const std::string pretty = demangle(target);
         if (matches_any(target, pretty, config_.audit_banned)) {
-          const std::string caller = section_name_of(section);
+          const std::string caller = section_name_of(node);
           bool allowed_edge = false;
           for (const auto& [from, to] : config_.audit_allow) {
-            if (name_matches(section, caller, from) &&
+            if (name_matches(node.second, caller, from) &&
                 name_matches(target, pretty, to)) {
               allowed_edge = true;
               break;
@@ -1335,13 +1378,13 @@ class Linter {
             ++allows_used_;
             continue;
           }
-          if (!reported.insert({section, target}).second) continue;
+          if (!reported.insert({node, target}).second) continue;
           Violation v;
-          v.file = obj_rel;
+          v.file = object.rel;
           v.line = 1;
           v.rule = "audit";
           v.message = "hot path reaches banned symbol '" + pretty +
-                      "': " + chain_of(section) + " -> " + pretty;
+                      "': " + chain_of(node) + " -> " + pretty;
           v.hint = "hot code must not allocate/lock/throw/log: move the "
                    "branch behind ARVY_COLD, or declare the edge in "
                    "[audit] allow with a written justification";
@@ -1349,18 +1392,16 @@ class Linter {
           continue;
         }
         if (matches_any(target, pretty, config_.audit_assume_clean)) continue;
-        const auto def = symbol_section.find(target);
-        if (def == symbol_section.end()) continue;  // undefined: trusted leaf
-        const std::string& tsec = def->second;
-        if (tsec.rfind(".text", 0) != 0) continue;
-        if (tsec.rfind(".text.unlikely.", 0) == 0) continue;
-        if (visited.insert(tsec).second) {
-          parent[tsec] = section;
-          queue.push_back(tsec);
+        const auto local = object.symbol_section.find(target);
+        if (local != object.symbol_section.end()) {
+          follow(node, {node.first, local->second});
+          continue;
         }
+        const auto def = definitions.find(target);
+        if (def == definitions.end()) continue;  // defined nowhere: trusted
+        follow(node, def->second);
       }
     }
-    return hot_sections.size();
   }
 
   // --- output --------------------------------------------------------------
