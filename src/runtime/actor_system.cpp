@@ -84,6 +84,7 @@ ActorSystem::ActorSystem(const graph::Graph& g,
         options_.faults, options_.retry, /*record_events=*/false);
     nurse_ = std::thread([this] { run_nurse(); });
   }
+  spin_ = spin_fits(worker_count + (injector_ ? 1 : 0));
   for (auto& worker : workers_) {
     worker->thread = std::thread([this, w = worker.get()] { run_worker(*w); });
   }
@@ -117,9 +118,9 @@ proto::RequestId ActorSystem::request(NodeId v) {
 
 bool ActorSystem::wait_for_satisfied_for(std::uint64_t count,
                                          std::chrono::milliseconds timeout) {
-  return progress_.wait_until(
-      [this, count] { return satisfied_count() >= count; },
-      EventCount::Clock::now() + timeout);
+  const auto ready = [this, count] { return satisfied_count() >= count; };
+  if (spin_ && spin_until(ready, kSpinBeforePark)) return true;
+  return progress_.wait_until(ready, deadline_after(timeout));
 }
 
 std::uint64_t ActorSystem::satisfied_count() const noexcept {
@@ -228,19 +229,26 @@ void ActorSystem::run_worker(Worker& worker) {
     return stopping_.load(std::memory_order_acquire) ||
            worker_has_work(worker);
   };
+  // Whether the sweep before the current one processed anything.
+  bool was_busy = false;
   for (;;) {
     bool did_work = false;
     for (const NodeId v : worker.actors) {
       did_work |= drain_actor(worker, *actors_[v]);
     }
+    const bool spin = spin_ && was_busy;
+    was_busy = did_work;
     if (did_work) continue;
     // The rescan after stopping_'s acquire load sees every frame published
     // before the stop, so nothing admitted before shutdown() is left behind.
     if (stopping_.load(std::memory_order_acquire) && !worker_has_work(worker)) {
       return;
     }
-    (void)worker.park.wait_until(ready,
-                                 EventCount::Clock::now() + kParkBackstop);
+    // Spin only when a busy spell just ended: the next frame is then
+    // likely microseconds away. A wake that finds nothing to do (the
+    // backstop's) parks again at once.
+    if (spin && spin_until(ready, kSpinBeforePark)) continue;
+    (void)worker.park.wait_until(ready, deadline_after(kParkBackstop));
   }
 }
 
@@ -444,26 +452,16 @@ void ActorSystem::send_with_faults(const NodeActor& from,
       verdict.duplicates > 0
           ? next_dedup_.fetch_add(1, std::memory_order_relaxed)
           : 0;
-  const auto unit =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          options_.fault_time_unit);
-  const auto now = std::chrono::steady_clock::now();
+  const auto unit = options_.fault_time_unit;
   // Duplicate copies are staggered by the link's transit time so they arrive
   // as genuine reorder hazards, not back-to-back ring neighbours.
   for (std::uint32_t i = 0; i < verdict.duplicates; ++i) {
-    const auto stagger = unit * (i + 1.0) * std::max(distance, 1.0);
-    delayed_.push(
-        Deferred{send.to, box(send, from.scratch_find, dedup)},
-        now +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                stagger));
+    delayed_.push(Deferred{send.to, box(send, from.scratch_find, dedup)},
+                  deadline_after(unit * (i + 1.0) * std::max(distance, 1.0)));
   }
   if (verdict.extra_delay > 0.0) {
-    const auto defer =
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            unit * verdict.extra_delay);
     delayed_.push(Deferred{send.to, box(send, from.scratch_find, dedup)},
-                  now + defer);
+                  deadline_after(unit * verdict.extra_delay));
     return;
   }
   enqueue_protocol(from, send, dedup);

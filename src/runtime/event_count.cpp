@@ -1,6 +1,12 @@
 #include "runtime/event_count.hpp"
 
+#include <algorithm>
 #include <mutex>
+#include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 // TSan does not model standalone fences (GCC diagnoses them under
 // -fsanitize=thread). The two fences below only pair the waiter count with
@@ -44,6 +50,18 @@ bool EventCount::wait(ReadyFn ready, const void* context,
   }
   waiters_.fetch_sub(1, std::memory_order_relaxed);
   return ok;
+}
+
+bool spin_fits(std::size_t threads) {
+  std::size_t cpus = std::max(1u, std::thread::hardware_concurrency());
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    cpus = static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+#endif
+  return threads + 1 <= cpus;
 }
 
 }  // namespace arvy::runtime

@@ -21,9 +21,11 @@
 //
 // Threading contract: acquire, drain and the counters may be called from
 // any thread; drain and acquire_and_wait wait on the runtime's progress
-// EventCount, whose acquire-loaded satisfied counters make cost_snapshot()
-// exact once drain() has returned true. shutdown() must not race acquire(),
-// and node() is legal only after shutdown().
+// EventCount (polling it briefly first when the pool leaves the caller a
+// CPU), whose acquire-loaded satisfied counters make cost_snapshot() exact
+// once drain() has returned true. A budget of milliseconds::max() waits
+// without a deadline. shutdown() must not race acquire(), and node() is
+// legal only after shutdown().
 #pragma once
 
 #include <chrono>
