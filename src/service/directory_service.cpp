@@ -71,29 +71,30 @@ struct DirectoryService::Shard {
   // Costs of every PARKED burst; engine->costs() holds the loaded object's.
   proto::CostAccount committed;
 
-  // Cross-thread telemetry. The single-writer words are written only by
-  // the shard's worker (the caller in kSim): costs are flushed after each
-  // request, processed is the progress count the waits sum (see
-  // note_progress). The counters are monotone peeks.
-  std::atomic<double> find_cost{0.0};             // ARVY-ATOMIC(single-writer)
+  // Cross-thread telemetry, written only by the shard's worker (the caller
+  // in kSim) and starting a cache line, so no word a client writes shares
+  // its lines. Costs are flushed after each request, processed is the
+  // progress count the waits sum (see note_progress). The counters are
+  // monotone peeks.
+  alignas(64) std::atomic<double> find_cost{0.0};  // ARVY-ATOMIC(single-writer)
   std::atomic<double> token_cost{0.0};            // ARVY-ATOMIC(single-writer)
   std::atomic<std::uint64_t> find_messages{0};    // ARVY-ATOMIC(single-writer)
   std::atomic<std::uint64_t> token_messages{0};   // ARVY-ATOMIC(single-writer)
   std::atomic<std::uint64_t> max_visited{0};      // ARVY-ATOMIC(single-writer)
-  std::atomic<std::uint64_t> processed{0};        // ARVY-ATOMIC(single-writer)
-  std::atomic<std::uint64_t> satisfied{0};        // ARVY-ATOMIC(single-writer)
-  std::atomic<std::uint64_t> admitted{0};         // ARVY-ATOMIC(counter)
   std::atomic<std::uint64_t> recoveries{0};       // ARVY-ATOMIC(counter)
   std::atomic<std::uint64_t> resident{0};         // ARVY-ATOMIC(counter)
+  std::atomic<std::uint64_t> processed{0};        // ARVY-ATOMIC(single-writer)
+  std::atomic<std::uint64_t> satisfied{0};        // ARVY-ATOMIC(single-writer)
 
   // Copied from the injector under the service stats mutex on each processed
   // request, so fault_stats() never races the worker (see copy_fault_stats).
   faults::FaultStats fault_snapshot;
 
-  // kLive: admission ring + pinned worker, parked on `park` when idle.
+  // kLive: admission ring + pinned worker, parked on `park` when idle. The
+  // client notifies `park` after each push, so it sits on its own line.
   std::optional<runtime::RingMailbox> ring;
   std::thread thread;
-  runtime::EventCount park;
+  alignas(64) runtime::EventCount park;
 
   [[nodiscard]] std::size_t bridge_words() const noexcept {
     return bridges_tracked ? proto::bridge_words(nodes) : 0;
@@ -244,7 +245,6 @@ std::uint64_t DirectoryService::acquire(ObjectId object, graph::NodeId node) {
   Shard& shard = *shards_[routing_.lookup(object)];
   const std::uint64_t ticket =
       submitted_.fetch_add(1, std::memory_order_relaxed) + 1;
-  shard.admitted.fetch_add(1, std::memory_order_relaxed);
   if (mode_ == ServiceMode::kSim) {
     process_request(shard, object, node);
   } else {
@@ -267,7 +267,6 @@ std::uint64_t DirectoryService::submit_batch(
       submitted_.fetch_add(batch.size(), std::memory_order_relaxed);
   for (const service::ObjectRequest& request : batch) {
     Shard& shard = *shards_[routing_.lookup(request.object)];
-    shard.admitted.fetch_add(1, std::memory_order_relaxed);
     if (mode_ == ServiceMode::kSim) {
       process_request(shard, request.object, request.node);
     } else {
@@ -282,10 +281,11 @@ void DirectoryService::acquire_and_wait(ObjectId object, graph::NodeId node) {
   acquire(object, node);
   if (mode_ == ServiceMode::kSim) return;  // processed inline
   // The ring is FIFO and our frame is fully pushed, so its ring position is
-  // at most the admission count read AFTER the push completes; once the
-  // shard has processed that many frames, ours is among them. Untimed:
-  // processing never blocks, so the wait ends once the shard reaches it.
-  const std::uint64_t target = shard.admitted.load(std::memory_order_relaxed);
+  // below the ring's claimed-ticket count read AFTER the push completes;
+  // once the shard has processed that many frames, ours is among them.
+  // Untimed: processing never blocks, so the wait ends once the shard
+  // reaches it.
+  const std::uint64_t target = shard.ring->claimed();
   (void)progress_.wait_until(
       [&shard, target] {
         return shard.processed.load(std::memory_order_acquire) >= target;
@@ -662,7 +662,8 @@ ARVY_HOT void DirectoryService::note_progress(Shard& shard) {
   // any waiter whose acquire load sees the new count.
   shard.processed.store(shard.processed.load(std::memory_order_relaxed) + 1,
                         std::memory_order_release);
-  progress_.notify();
+  // kSim's waits return inline, so no thread can be parked on progress_.
+  if (mode_ == ServiceMode::kLive) progress_.notify();
 }
 
 ARVY_COLD void DirectoryService::copy_fault_stats(Shard& shard) {

@@ -230,8 +230,12 @@ class DirectoryService {
   MessageObserver message_observer_;
   SatisfiedObserver satisfied_observer_;
 
-  std::atomic<std::uint64_t> submitted_{0};  // ARVY-ATOMIC(counter)
-  runtime::EventCount progress_;  // notified on every processed request
+  // Each on its own cache line: the client bumps submitted_ on every
+  // acquire, while every shard reads the observers on each satisfaction
+  // and progress_'s waiter count on each processed request.
+  alignas(64) std::atomic<std::uint64_t> submitted_{0};  // ARVY-ATOMIC(counter)
+  // Notified on every processed request in kLive.
+  alignas(64) runtime::EventCount progress_;
   // Guards each shard's fault_snapshot (kLive readers vs the shard worker).
   mutable support::RankedMutex stats_mutex_{support::lock_rank::kStats,
                                             "service-stats"};

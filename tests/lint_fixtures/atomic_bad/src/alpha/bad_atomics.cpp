@@ -22,4 +22,9 @@ std::uint64_t drain() {
   return events.load(std::memory_order_acquire);
 }
 
+// 5. A word reached through an accessor: the call's order is checked like
+// a direct use (an acq_rel RMW is outside the counter contract).
+std::atomic<std::uint64_t>& tally(std::size_t i);  // ARVY-ATOMIC(counter)
+void bump(std::size_t i) { tally(i).fetch_add(1, std::memory_order_acq_rel); }
+
 }  // namespace alpha

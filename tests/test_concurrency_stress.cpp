@@ -16,12 +16,15 @@
 #include <cstring>
 #include <functional>
 #include <numeric>
+#include <ostream>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "proto/policies.hpp"
+#include "proto/wire.hpp"
 #include "runtime/actor_system.hpp"
 #include "runtime/event_count.hpp"
 #include "runtime/mailbox.hpp"
@@ -277,6 +280,234 @@ TEST(RingMailboxStress, TryPushAfterCloseReturnsFalseAndDrains) {
   EXPECT_FALSE(ring.has_ready());
   EXPECT_EQ(ring.acquire_batch(64), 0u);
 }
+
+// --- RingMailbox cells on both sides of the size rules ------------------------
+//
+// A cell is the 8-byte sequence word plus the frame: a power of two up to
+// 64 bytes, whole lines beyond. The sizes below sit on both sides of both
+// rules: 8 and 16 (power-of-two cells of 16 and 32 bytes), 56 (exactly one
+// line), 57 (one byte over: two lines) and a 64-node ring's envelope (296
+// bytes: five lines). Producers fill each frame end to end with a pattern
+// derived from its value and the consumer checks every byte, so a cell
+// that overlaps its neighbour's word or frame corrupts a frame or stalls
+// the ring.
+
+struct CellCase {
+  std::size_t frame;  // the slot_bytes asked for
+  std::size_t cell;   // the cell the rules give that frame
+};
+
+void PrintTo(const CellCase& c, std::ostream* os) {
+  *os << c.frame << "-byte frames in " << c.cell << "-byte cells";
+}
+
+class RingMailboxCells : public testing::TestWithParam<CellCase> {};
+
+std::byte pattern_byte(std::uint64_t value, std::size_t k) {
+  return static_cast<std::byte>(value * 7 + k * 13);
+}
+
+// The frame's value word, then the pattern over the rest of slot_bytes().
+void fill_frame(std::byte* frame, std::size_t bytes, std::uint64_t value) {
+  std::memcpy(frame, &value, sizeof(value));
+  for (std::size_t k = sizeof(value); k < bytes; ++k) {
+    frame[k] = pattern_byte(value, k);
+  }
+}
+
+// Whether every byte after the value word still carries its pattern.
+bool frame_intact(const std::byte* frame, std::size_t bytes) {
+  const std::uint64_t value = read_slot_u64(frame);
+  for (std::size_t k = sizeof(value); k < bytes; ++k) {
+    if (frame[k] != pattern_byte(value, k)) return false;
+  }
+  return true;
+}
+
+TEST_P(RingMailboxCells, WrapAroundUnderMultiProducerContention) {
+  constexpr std::uint64_t kProducers = 4;
+  constexpr std::uint64_t kPerProducer = 2000;
+  runtime::RingMailbox ring(/*capacity=*/8, GetParam().frame);
+  const std::size_t bytes = ring.slot_bytes();
+  ASSERT_GE(bytes, GetParam().frame);
+
+  std::vector<std::thread> producers;
+  for (std::uint64_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&ring, bytes, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        const std::uint64_t value = p * kPerProducer + i;
+        ASSERT_TRUE(ring.push([bytes, value](std::byte* frame) {
+          fill_frame(frame, bytes, value);
+        }));
+      }
+    });
+  }
+
+  std::uint64_t consumed = 0;
+  std::vector<std::uint64_t> next(kProducers, 0);
+  while (consumed < kProducers * kPerProducer) {
+    const std::size_t batch = ring.acquire_batch(4);
+    if (batch == 0) {
+      std::this_thread::yield();
+      continue;
+    }
+    for (std::size_t k = 0; k < batch; ++k) {
+      const std::byte* frame = ring.batch_slot(k);
+      ASSERT_TRUE(frame_intact(frame, bytes)) << "frame " << consumed;
+      const std::uint64_t value = read_slot_u64(frame);
+      const std::uint64_t p = value / kPerProducer;
+      ASSERT_LT(p, kProducers);
+      ASSERT_EQ(next[p], value % kPerProducer) << "producer " << p;
+      ++next[p];
+      ++consumed;
+    }
+    ring.release_batch(batch);
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(ring.approx_size(), 0u);
+}
+
+TEST_P(RingMailboxCells, FullRingReportsKFullAndBackpressures) {
+  runtime::RingMailbox ring(/*capacity=*/4, GetParam().frame);
+  const std::size_t bytes = ring.slot_bytes();
+  auto fill = [bytes](std::uint64_t value) {
+    return [bytes, value](std::byte* frame) { fill_frame(frame, bytes, value); };
+  };
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(ring.try_push(fill(i)), runtime::PushResult::kOk);
+  }
+  EXPECT_EQ(ring.try_push(fill(99)), runtime::PushResult::kFull);
+  ASSERT_EQ(ring.acquire_batch(64), 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_TRUE(frame_intact(ring.batch_slot(k), bytes));
+    EXPECT_EQ(read_slot_u64(ring.batch_slot(k)), k);
+  }
+  ring.release_batch(4);
+
+  constexpr std::uint64_t kFrames = 1500;
+  std::thread producer([&ring, &fill] {
+    for (std::uint64_t i = 4; i < kFrames; ++i) ASSERT_TRUE(ring.push(fill(i)));
+  });
+  std::uint64_t expected = 4;
+  while (expected < kFrames) {
+    const std::size_t n = ring.acquire_batch(3);
+    for (std::size_t k = 0; k < n; ++k) {
+      ASSERT_TRUE(frame_intact(ring.batch_slot(k), bytes));
+      ASSERT_EQ(read_slot_u64(ring.batch_slot(k)), expected);
+      ++expected;
+    }
+    ring.release_batch(n);
+    if (expected % 256 < 3) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+  producer.join();
+}
+
+TEST_P(RingMailboxCells, CloseRacesMidBatchDrain) {
+  for (int round = 0; round < 10; ++round) {
+    runtime::RingMailbox ring(/*capacity=*/16, GetParam().frame);
+    const std::size_t bytes = ring.slot_bytes();
+    std::atomic<std::uint64_t> pushed{0};
+    std::atomic<bool> producers_done{false};
+    std::vector<std::thread> producers;
+    for (std::uint64_t p = 0; p < 3; ++p) {
+      producers.emplace_back([&ring, &pushed, bytes, p] {
+        for (std::uint64_t i = 0;; ++i) {
+          const runtime::PushResult r =
+              ring.try_push([bytes, value = (p << 32) | i](std::byte* frame) {
+                fill_frame(frame, bytes, value);
+              });
+          if (r == runtime::PushResult::kClosed) return;
+          if (r == runtime::PushResult::kOk) {
+            pushed.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    std::uint64_t consumed = 0;
+    std::uint64_t corrupt = 0;
+    std::thread consumer([&] {
+      for (;;) {
+        const std::size_t n = ring.acquire_batch(5);
+        if (n > 0) {
+          for (std::size_t k = 0; k < n; ++k) {
+            if (!frame_intact(ring.batch_slot(k), bytes)) ++corrupt;
+          }
+          ring.release_batch(n);
+          consumed += n;
+          continue;
+        }
+        if (producers_done.load(std::memory_order_acquire) &&
+            !ring.has_ready()) {
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(200 * (round % 4)));
+    ring.close();
+    for (auto& t : producers) t.join();
+    producers_done.store(true, std::memory_order_release);
+    consumer.join();
+    EXPECT_EQ(consumed, pushed.load());
+    EXPECT_EQ(corrupt, 0u) << "round " << round;
+  }
+}
+
+TEST_P(RingMailboxCells, CellsKeepToTheirLines) {
+  // Cell addresses come from batch_slot and the documented frame offset.
+  // Three frames first, so the two full laps that follow wrap mid-batch.
+  constexpr std::size_t kCapacity = 8;
+  constexpr std::size_t kLine = 64;
+  const CellCase c = GetParam();
+  runtime::RingMailbox ring(kCapacity, c.frame);
+  ASSERT_EQ(ring.slot_bytes(), c.cell - runtime::RingMailbox::kFrameOffset);
+  const std::size_t bytes = ring.slot_bytes();
+  std::uint64_t value = 0;
+  std::set<std::uintptr_t> cells;
+  for (const std::size_t lap : {std::size_t{3}, kCapacity, kCapacity}) {
+    for (std::size_t i = 0; i < lap; ++i, ++value) {
+      ASSERT_EQ(ring.try_push([bytes, value](std::byte* frame) {
+        fill_frame(frame, bytes, value);
+      }),
+                runtime::PushResult::kOk);
+    }
+    ASSERT_EQ(ring.acquire_batch(kCapacity), lap);
+    for (std::size_t k = 0; k < lap; ++k) {
+      const std::byte* frame = ring.batch_slot(k);
+      EXPECT_TRUE(frame_intact(frame, bytes));
+      EXPECT_EQ(read_slot_u64(frame), value - lap + k);
+      const auto cell = reinterpret_cast<std::uintptr_t>(frame) -
+                        runtime::RingMailbox::kFrameOffset;
+      if (c.cell <= kLine) {
+        EXPECT_EQ(cell / kLine, (cell + c.cell - 1) / kLine)
+            << "cell at " << cell << " crosses a line";
+      } else {
+        EXPECT_EQ(cell % kLine, 0u) << "cell at " << cell << " is off a line";
+      }
+      cells.insert(cell);
+    }
+    ring.release_batch(lap);
+  }
+  // Every cell of the ring, each a whole stride from the next.
+  ASSERT_EQ(cells.size(), kCapacity);
+  EXPECT_EQ(*cells.rbegin() - *cells.begin(), (kCapacity - 1) * c.cell);
+  for (const std::uintptr_t cell : cells) {
+    EXPECT_EQ((cell - *cells.begin()) % c.cell, 0u);
+  }
+}
+
+std::string cell_case_name(const testing::TestParamInfo<CellCase>& info) {
+  return "frame" + std::to_string(info.param.frame);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FrameSizes, RingMailboxCells,
+    testing::Values(CellCase{8, 16}, CellCase{16, 32}, CellCase{56, 64},
+                    CellCase{57, 128},
+                    CellCase{proto::wire::envelope_bytes(64), 320}),
+    cell_case_name);
 
 TEST(LockRank, NoRankedLocksHeldOutsideCriticalSections) {
   runtime::Mailbox<int> box;
@@ -730,6 +961,47 @@ TEST(ServiceLiveStress, ObserverWritesAreVisibleRightAfterDrain) {
       ASSERT_EQ(seen[s], expected[s]) << "shard " << s << ", round " << round;
     }
   }
+  service.shutdown();
+}
+
+TEST(ServiceLiveStress, AcquireAndWaitReturnsAfterItsOwnRequest) {
+  // acquire_and_wait's target is the shard ring's claimed-ticket count,
+  // read after the push. Each client requests only its own objects (object
+  // = client mod 4), so once a wait returns, the satisfied observer must
+  // have counted every request the client made for that object: a target
+  // read before the push lets the wait return with its own request still
+  // queued.
+  const auto g = graph::make_grid(3, 3);
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kObjects = 6 * kClients;
+  constexpr std::size_t kPerClient = 300;
+  DirectoryService service(g, kObjects, 2, {.policy = proto::PolicyKind::kIvy},
+                           ServiceMode::kLive);
+  std::vector<std::atomic<std::uint64_t>> satisfied(kObjects);
+  service.on_satisfied(
+      [&satisfied](service::ObjectId object, const proto::RequestRecord&) {
+        satisfied[object].fetch_add(1, std::memory_order_relaxed);
+      });
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      support::Rng rng(300 + c);
+      std::vector<std::uint64_t> mine(kObjects, 0);
+      for (std::size_t i = 0; i < kPerClient; ++i) {
+        const auto object = static_cast<service::ObjectId>(
+            c + kClients * rng.next_below(kObjects / kClients));
+        service.acquire_and_wait(
+            object, static_cast<NodeId>(rng.next_below(g.node_count())));
+        ++mine[object];
+        ASSERT_EQ(satisfied[object].load(std::memory_order_relaxed),
+                  mine[object])
+            << "client " << c << ", object " << object << ", request " << i;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_TRUE(service.drain(kWaitCeiling));
+  EXPECT_EQ(service.satisfied_count(), kClients * kPerClient);
   service.shutdown();
 }
 

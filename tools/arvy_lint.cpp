@@ -928,8 +928,9 @@ class Linter {
       }
     }
 
-    // Pass 2: use sites. `name[...].op(...)` and `name.op(...)` check the
-    // call's memory_order arguments (implicit = seq_cst) against the role
+    // Pass 2: use sites. `name.op(...)`, `name[...].op(...)` and, for an
+    // accessor that returns the word, `name(...).op(...)` check the call's
+    // memory_order arguments (implicit = seq_cst) against the role
     // contract; standalone atomic_thread_fence checks the fence list.
     for (const SourceFile& f : files_) {
       if (f.rel.rfind("src/", 0) != 0) continue;
@@ -958,11 +959,13 @@ class Linter {
         const std::string& name = bound->first;
         const std::string& role = bound->second;
         std::size_t j = i + 1;
-        if (j < toks.size() && toks[j].text == "[") {
+        if (j < toks.size() && (toks[j].text == "[" || toks[j].text == "(")) {
+          const std::string_view open = toks[j].text;
+          const std::string_view close = open == "[" ? "]" : ")";
           long depth = 0;
           for (; j < toks.size(); ++j) {
-            if (toks[j].text == "[") ++depth;
-            if (toks[j].text == "]" && --depth == 0) break;
+            if (toks[j].text == open) ++depth;
+            if (toks[j].text == close && --depth == 0) break;
           }
           ++j;
         }
