@@ -190,8 +190,8 @@ void SimEngine::run_concurrent(std::span<const TimedRequest> requests) {
   run_until_idle();
 }
 
-ARVY_HOT bool SimEngine::park_row(std::span<NodeId> parents,
-                                  std::span<std::uint64_t> bridges) const {
+ARVY_HOT std::uint64_t SimEngine::park_row(
+    std::span<NodeId> parents, std::span<std::uint64_t> bridges) const {
   ARVY_EXPECTS_MSG(bus_.idle(), "park requires a quiescent bus");
   const std::size_t n = cores_.size();
   ARVY_EXPECTS(parents.size() == n);
@@ -201,7 +201,7 @@ ARVY_HOT bool SimEngine::park_row(std::span<NodeId> parents,
   for (const NodeId v : dirty_nodes()) {
     // A node still waiting on a permanently lost find has p(v) == v without
     // the token - not a tree; the object must be re-seeded.
-    if (cores_[v].outstanding().has_value()) return false;
+    if (cores_[v].outstanding().has_value()) return 0;
     if (cores_[v].holds_token()) holder = v;
   }
   std::copy(parent_column_.begin(), parent_column_.end(), parents.begin());
@@ -210,20 +210,25 @@ ARVY_HOT bool SimEngine::park_row(std::span<NodeId> parents,
   }
   // The dirty list holds every node whose parent changed since the columns
   // were last validated, and that tree's root (marked when it was seated).
-  return walks_reach_root(parent_column_, holder, dirty_nodes(),
-                          walk_marks_, walk_epoch_);
+  if (!walks_reach_root(parent_column_, holder, dirty_nodes(), walk_marks_,
+                        walk_epoch_)) {
+    return 0;
+  }
+  return row_seal(parents, bridges);
 }
 
 ARVY_HOT void SimEngine::adopt_row(std::span<const NodeId> parents,
                                    std::span<const std::uint64_t> bridges,
-                                   std::uint64_t seed) {
+                                   std::uint64_t seal, std::uint64_t seed) {
   ARVY_EXPECTS_MSG(bus_.idle(), "adopt requires a quiescent bus");
   const std::size_t n = cores_.size();
   ARVY_EXPECTS(parents.size() == n);
   ARVY_EXPECTS(bridges.empty() || bridges.size() == bridge_words(n));
   NodeId root = 0;
   while (root < n && parents[root] != root) ++root;
-  ARVY_EXPECTS_MSG(is_rooted_tree(parents, root, tree_scratch_),
+  // A row whose bytes still hash to park's seal is the tree park validated.
+  const bool sealed = seal != 0 && row_seal(parents, bridges) == seal;
+  ARVY_EXPECTS_MSG(sealed || is_rooted_tree(parents, root, tree_scratch_),
                    "adopted parent pointers must form a rooted tree");
   // Only the nodes the last burst touched carry per-burst state.
   for (const NodeId v : dirty_nodes()) {
@@ -252,7 +257,7 @@ bool SimEngine::park_state(InitialConfig& out) const {
   const std::size_t n = cores_.size();
   out.parent.resize(n);
   out.parent_edge_is_bridge.resize(n);
-  const bool resumable = park_row(out.parent, bridge_scratch_);
+  const bool resumable = park_row(out.parent, bridge_scratch_) != 0;
   out.root = graph::kInvalidNode;
   for (NodeId v = 0; v < n; ++v) {
     out.parent_edge_is_bridge[v] = bridge_bit(bridge_scratch_, v);
@@ -270,7 +275,7 @@ void SimEngine::adopt_state(const InitialConfig& next, std::uint64_t seed) {
                        next.parent[next.root] == next.root,
                    "adopted parent pointers must form a rooted tree");
   pack_bridges(next.parent_edge_is_bridge, bridge_scratch_);
-  adopt_row(next.parent, bridge_scratch_, seed);
+  adopt_row(next.parent, bridge_scratch_, 0, seed);
 }
 
 void pack_bridges(const std::vector<bool>& flags,

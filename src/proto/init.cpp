@@ -1,6 +1,7 @@
 #include "proto/init.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/assert.hpp"
 #include "support/hot.hpp"
@@ -26,6 +27,23 @@ InitialConfig oriented_path(std::size_t n, NodeId root, NodeId bridge_child) {
   }
   ARVY_ENSURES(cfg.is_valid_tree());
   return cfg;
+}
+
+// Odd, so multiplying by it is a bijection of 64-bit words.
+constexpr std::uint64_t kSealMultiplier = 0x9fb21c651e98df25ULL;
+
+// One step of a seal lane: a bijection of the lane for a fixed word, and of
+// the word for a fixed lane. The xorshift folds the high bits back down, so
+// the next multiply spreads them.
+constexpr std::uint64_t seal_step(std::uint64_t lane,
+                                  std::uint64_t word) noexcept {
+  lane = (lane ^ word) * kSealMultiplier;
+  return lane ^ (lane >> 32);
+}
+
+// Parents v and v + 1 as one word.
+constexpr std::uint64_t parent_pair(const NodeId* parents) noexcept {
+  return std::uint64_t{parents[0]} | (std::uint64_t{parents[1]} << 32);
 }
 
 }  // namespace
@@ -88,6 +106,43 @@ ARVY_HOT bool walks_reach_root(std::span<const NodeId> parents, NodeId root,
     }
   }
   return true;
+}
+
+ARVY_HOT std::uint64_t row_seal(
+    std::span<const NodeId> parents,
+    std::span<const std::uint64_t> bridges) noexcept {
+  static_assert(sizeof(NodeId) == 4, "a seal word holds two parents");
+  const std::size_t n = parents.size();
+  const NodeId* p = parents.data();
+  std::uint64_t a = 0x243f6a8885a308d3ULL ^ n;
+  std::uint64_t b = 0x13198a2e03707344ULL;
+  std::uint64_t c = 0xa4093822299f31d0ULL;
+  std::uint64_t d = 0x082efa98ec4e6c89ULL;
+  std::size_t v = 0;
+  for (; v + 8 <= n; v += 8) {
+    a = seal_step(a, parent_pair(p + v));
+    b = seal_step(b, parent_pair(p + v + 2));
+    c = seal_step(c, parent_pair(p + v + 4));
+    d = seal_step(d, parent_pair(p + v + 6));
+  }
+  // The remaining words go to the lanes in turn: lane a takes the next one,
+  // then the lanes rotate.
+  const auto absorb = [&a, &b, &c, &d](std::uint64_t word) {
+    const std::uint64_t stepped = seal_step(a, word);
+    a = b;
+    b = c;
+    c = d;
+    d = stepped;
+  };
+  for (; v + 2 <= n; v += 2) absorb(parent_pair(p + v));
+  if (v < n) absorb(p[v]);
+  for (const std::uint64_t word : bridges) absorb(word);
+  // splitmix64's finalizer over the lanes, each rotated apart.
+  std::uint64_t h = a ^ std::rotl(b, 16) ^ std::rotl(c, 32) ^ std::rotl(d, 48);
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h != 0 ? h : 1;
 }
 
 InitialConfig from_tree(const graph::RootedTree& tree) {

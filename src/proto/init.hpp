@@ -58,6 +58,18 @@ struct InitialConfig {
                                     std::span<std::uint64_t> marks,
                                     std::uint64_t& epoch) noexcept;
 
+// The seal of a parked row: a nonzero 64-bit hash of n, every parent word
+// and every bridge word. SimEngine::park_row returns it for a row it has
+// just validated, and adopt_row skips is_rooted_tree for a row whose bytes
+// still hash to the seal it is handed. Four independent lanes take every
+// fourth 64-bit word (two parents, or one bridge word) each through
+// xor-multiply-xorshift steps, then a splitmix64 finalizer mixes the lanes.
+// Every step is a bijection of its lane, so an edit to any one word changes
+// the seal unless it moves the final value between 0 and 1 (0 maps to 1).
+[[nodiscard]] std::uint64_t row_seal(
+    std::span<const NodeId> parents,
+    std::span<const std::uint64_t> bridges) noexcept;
+
 // Any rooted spanning tree, no bridge.
 [[nodiscard]] InitialConfig from_tree(const graph::RootedTree& tree);
 

@@ -247,8 +247,7 @@ void ActorSystem::run_worker(Worker& worker) {
     // Spin only when a busy spell just ended: the next frame is then
     // likely microseconds away. A wake that finds nothing to do (the
     // backstop's) parks again at once.
-    if (spin && spin_until(ready, kSpinBeforePark)) continue;
-    (void)worker.park.wait_until(ready, deadline_after(kParkBackstop));
+    poll_then_park(worker.park, ready, spin);
   }
 }
 

@@ -135,4 +135,16 @@ template <typename Ready>
 // A system computes it once at construction and spins only when it holds.
 [[nodiscard]] bool spin_fits(std::size_t threads);
 
+// The idle step of a worker loop (ActorSystem's workers, DirectoryService's
+// shards): when `poll` - the loop's busy spell just ended and spin_fits
+// held at construction - polls ready() for kSpinBeforePark, and if it still
+// fails parks on `park` until ready() holds or the kParkBackstop deadline.
+// Either way the loop rescans its queues next; a wake that finds nothing
+// passes poll = false, so the backstop's wakes never spin.
+template <typename Ready>
+void poll_then_park(EventCount& park, const Ready& ready, bool poll) {
+  if (poll && spin_until(ready, kSpinBeforePark)) return;
+  (void)park.wait_until(ready, deadline_after(kParkBackstop));
+}
+
 }  // namespace arvy::runtime

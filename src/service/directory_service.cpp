@@ -1,11 +1,11 @@
 #include "service/directory_service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <variant>
 
 #include "graph/spanning_tree.hpp"
@@ -32,6 +32,73 @@ void accumulate(faults::FaultStats& into, const faults::FaultStats& from) {
   into.overhead_distance += from.overhead_distance;
 }
 
+// The residency index of one shard: object id -> local id, in one flat
+// open-addressing table (linear probing, multiplicative hash, power-of-two
+// capacity kept at most half full, one 16-byte slot per entry). A lookup is
+// a multiply, a shift and usually one slot load; only insert, which first
+// touch alone calls, may grow the table.
+class ResidencyIndex {
+ public:
+  using ObjectId = service::ObjectId;
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+  ResidencyIndex() { rehash(kMinCapacity); }
+
+  // The local id of `object`, or kAbsent.
+  [[nodiscard]] ARVY_HOT std::uint32_t find(ObjectId object) const noexcept {
+    for (std::size_t i = home(object);; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.local_plus_one == 0) return kAbsent;
+      if (slot.object == object) return slot.local_plus_one - 1;
+    }
+  }
+
+  // Precondition: `object` is absent and `local` < kAbsent.
+  void insert(ObjectId object, std::uint32_t local) {
+    ARVY_EXPECTS(local < kAbsent && find(object) == kAbsent);
+    if (2 * (size_ + 1) > mask_ + 1) rehash(2 * (mask_ + 1));
+    place(object, local + 1);
+    ++size_;
+  }
+
+ private:
+  // A zero local_plus_one marks an empty slot, so a fresh table is empty.
+  struct Slot {
+    ObjectId object = 0;
+    std::uint32_t local_plus_one = 0;
+  };
+  static_assert(sizeof(Slot) == 16);
+  static constexpr std::size_t kMinCapacity = 16;
+
+  [[nodiscard]] std::size_t home(ObjectId object) const noexcept {
+    return static_cast<std::size_t>((object * kGolden) >> shift_);
+  }
+
+  void place(ObjectId object, std::uint32_t local_plus_one) noexcept {
+    std::size_t i = home(object);
+    while (slots_[i].local_plus_one != 0) i = (i + 1) & mask_;
+    slots_[i] = {object, local_plus_one};
+  }
+
+  void rehash(std::size_t capacity) {
+    const std::unique_ptr<Slot[]> old = std::move(slots_);
+    const std::size_t old_capacity = old ? mask_ + 1 : 0;
+    slots_ = std::make_unique<Slot[]>(capacity);
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+    for (std::size_t i = 0; i < old_capacity; ++i) {
+      if (old[i].local_plus_one != 0) {
+        place(old[i].object, old[i].local_plus_one);
+      }
+    }
+  }
+
+  std::unique_ptr<Slot[]> slots_;
+  std::size_t mask_ = 0;
+  int shift_ = 64;
+  std::size_t size_ = 0;
+};
+
 }  // namespace
 
 // One shard: a reusable engine plus the parked rows of every object it owns.
@@ -40,11 +107,12 @@ void accumulate(faults::FaultStats& into, const faults::FaultStats& from) {
 // than one vector per object: at 1M objects a per-object std::vector would
 // pay 1M allocations and 24 bytes of header each; the slab pays one
 // allocation per 256 objects and stores exactly n parent words (plus a
-// bridge bitmask when the policy needs it) per object. The engine parks into
-// and adopts from these rows in place (SimEngine::park_row/adopt_row). A row
-// is written from the canonical tree on first touch, so chunks materialize
-// lazily and a service with 1M registered but 10k touched objects holds
-// ~10k rows.
+// bridge bitmask when the policy needs it) and one seal word per object.
+// The engine parks into and adopts from these rows in place (SimEngine::
+// park_row/adopt_row); the seal is what park_row returned for the row, and
+// 0 until park has sealed it. A row is written from the canonical tree on
+// first touch, so chunks materialize lazily and a service with 1M
+// registered but 10k touched objects holds ~10k rows.
 struct DirectoryService::Shard {
   static constexpr std::size_t kChunk = 256;  // objects per row chunk
 
@@ -55,12 +123,13 @@ struct DirectoryService::Shard {
   std::unique_ptr<proto::SimEngine> engine;
 
   // Residency: dense local ids assigned at first touch (cold path).
-  std::unordered_map<ObjectId, std::uint32_t> local_of;
+  ResidencyIndex local_of;
   std::vector<ObjectId> owners;  // local id -> object id (check_sampled's pool)
 
   struct Chunk {
     std::unique_ptr<graph::NodeId[]> parents;   // kChunk rows of `nodes` each
     std::unique_ptr<std::uint64_t[]> bridges;   // null unless bridges_tracked
+    std::unique_ptr<std::uint64_t[]> seals;     // kChunk row seals
   };
   std::vector<Chunk> rows;
 
@@ -101,7 +170,7 @@ struct DirectoryService::Shard {
   }
   [[nodiscard]] std::size_t row_bytes() const noexcept {
     return nodes * sizeof(graph::NodeId) +
-           bridge_words() * sizeof(std::uint64_t);
+           (bridge_words() + 1) * sizeof(std::uint64_t);
   }
 
   // The row of local id `local` (its chunk must exist): parent words, and
@@ -119,9 +188,12 @@ struct DirectoryService::Shard {
                 (local % kChunk) * bridge_words(),
             bridge_words()};
   }
+  [[nodiscard]] std::uint64_t& row_seal(std::uint32_t local) const {
+    return rows[local / kChunk].seals[local % kChunk];
+  }
 
-  // Writes `tree` into the row of `local`, materializing its chunk (first
-  // touch and re-seed only).
+  // Writes `tree` into the row of `local`, unsealed, materializing its
+  // chunk (first touch and re-seed only).
   void store_row(std::uint32_t local, const proto::InitialConfig& tree) {
     const std::size_t chunk = local / kChunk;
     if (chunk >= rows.size()) rows.resize(chunk + 1);
@@ -131,12 +203,14 @@ struct DirectoryService::Shard {
       if (bridges_tracked) {
         c.bridges = std::make_unique<std::uint64_t[]>(kChunk * bridge_words());
       }
+      c.seals = std::make_unique<std::uint64_t[]>(kChunk);
     }
     std::copy(tree.parent.begin(), tree.parent.end(),
               row_parents(local).begin());
     if (bridges_tracked) {
       proto::pack_bridges(tree.parent_edge_is_bridge, row_bridges(local));
     }
+    row_seal(local) = 0;  // unsealed: the next adopt validates the row
   }
 };
 
@@ -159,9 +233,13 @@ DirectoryService::DirectoryService(const graph::Graph& g,
   track_bridges_ = options_.policy == proto::PolicyKind::kBridge;
   build_canonical();
   routing_.add_objects(object_count);
+  // kLive shards poll before they park only when every shard thread and one
+  // caller fit in the usable CPUs; computed once, handed to each thread.
+  const bool poll =
+      mode_ == ServiceMode::kLive && runtime::spin_fits(shard_count);
   shards_.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
-    shards_.push_back(make_shard(static_cast<std::uint32_t>(s)));
+    shards_.push_back(make_shard(static_cast<std::uint32_t>(s), poll));
   }
 }
 
@@ -189,7 +267,7 @@ void DirectoryService::build_canonical() {
 }
 
 std::unique_ptr<DirectoryService::Shard> DirectoryService::make_shard(
-    std::uint32_t index) {
+    std::uint32_t index, bool poll) {
   auto shard = std::make_unique<Shard>();
   shard->index = index;
   shard->nodes = graph_->node_count();
@@ -220,7 +298,7 @@ std::unique_ptr<DirectoryService::Shard> DirectoryService::make_shard(
 
   if (mode_ == ServiceMode::kLive) {
     shard->ring.emplace(options_.ring_capacity, sizeof(service::ObjectRequest));
-    shard->thread = std::thread([this, raw] { run_shard(*raw); });
+    shard->thread = std::thread([this, raw, poll] { run_shard(*raw, poll); });
   }
   return shard;
 }
@@ -418,7 +496,8 @@ void DirectoryService::add_shards(std::size_t count) {
                    "add_shards is kSim-only; size the live pool up front");
   ARVY_EXPECTS(count >= 1);
   for (std::size_t i = 0; i < count; ++i) {
-    shards_.push_back(make_shard(static_cast<std::uint32_t>(shards_.size())));
+    shards_.push_back(
+        make_shard(static_cast<std::uint32_t>(shards_.size()), false));
   }
   // Publish only after the shards exist: a concurrent lookup of a new
   // object must never route to an unconstructed shard.
@@ -448,9 +527,9 @@ std::optional<graph::NodeId> DirectoryService::holder(ObjectId object) const {
                    "after shutdown (kLive)");
   const Shard& shard = *shards_[routing_.lookup(object)];
   if (shard.current == object) return shard.engine->token_holder();
-  const auto it = shard.local_of.find(object);
-  if (it == shard.local_of.end()) return canonical_config(object).root;
-  const std::span<const graph::NodeId> row = shard.row_parents(it->second);
+  const std::uint32_t local = shard.local_of.find(object);
+  if (local == ResidencyIndex::kAbsent) return canonical_config(object).root;
+  const std::span<const graph::NodeId> row = shard.row_parents(local);
   for (std::size_t v = 0; v < shard.nodes; ++v) {
     if (row[v] == static_cast<graph::NodeId>(v)) {
       return static_cast<graph::NodeId>(v);
@@ -545,20 +624,26 @@ ARVY_HOT void DirectoryService::enqueue(Shard& shard,
 
 // --- shard worker ------------------------------------------------------------
 
-void DirectoryService::run_shard(Shard& shard) {
+void DirectoryService::run_shard(Shard& shard, bool poll) {
   const auto ready = [this, &shard] {
     return stopping_.load(std::memory_order_acquire) ||
            shard.ring->has_ready();
   };
+  // Whether the drain before the current one processed anything.
+  bool was_busy = false;
   for (;;) {
-    if (drain_ring(shard)) continue;
+    const bool busy = drain_ring(shard);
+    const bool spin = poll && was_busy;
+    was_busy = busy;
+    if (busy) continue;
     // As in ActorSystem::run_worker: the rescan after stopping_'s acquire
     // load sees every frame admitted before shutdown().
     if (stopping_.load(std::memory_order_acquire) && !shard.ring->has_ready()) {
       return;
     }
-    (void)shard.park.wait_until(
-        ready, runtime::deadline_after(runtime::kParkBackstop));
+    // The rule of ActorSystem::run_worker: poll once when a busy spell just
+    // ended, park at once after a wake that found nothing.
+    runtime::poll_then_park(shard.park, ready, spin);
   }
 }
 
@@ -589,11 +674,10 @@ void DirectoryService::process_request(Shard& shard, ObjectId object,
 ARVY_HOT void DirectoryService::switch_object(Shard& shard, ObjectId object) {
   if (shard.current == object) return;
   park_loaded(shard);
-  const auto it = shard.local_of.find(object);
-  const std::uint32_t local =
-      it != shard.local_of.end() ? it->second : first_touch(shard, object);
+  std::uint32_t local = shard.local_of.find(object);
+  if (local == ResidencyIndex::kAbsent) local = first_touch(shard, object);
   shard.engine->adopt_row(shard.row_parents(local), shard.row_bridges(local),
-                          object_seed(object));
+                          shard.row_seal(local), object_seed(object));
   shard.current = object;
   shard.current_local = local;
 }
@@ -601,7 +685,7 @@ ARVY_HOT void DirectoryService::switch_object(Shard& shard, ObjectId object) {
 ARVY_COLD std::uint32_t DirectoryService::first_touch(Shard& shard,
                                                       ObjectId object) {
   const auto local = static_cast<std::uint32_t>(shard.owners.size());
-  shard.local_of.emplace(object, local);
+  shard.local_of.insert(object, local);
   shard.owners.push_back(object);
   shard.resident.fetch_add(1, std::memory_order_relaxed);
   shard.store_row(local, canonical_config(object));
@@ -617,8 +701,12 @@ ARVY_HOT void DirectoryService::park_loaded(Shard& shard) {
   shard.committed.token_messages += costs.token_messages;
   shard.committed.max_visited_length =
       std::max(shard.committed.max_visited_length, costs.max_visited_length);
-  if (!shard.engine->park_row(shard.row_parents(shard.current_local),
-                              shard.row_bridges(shard.current_local))) {
+  const std::uint64_t seal =
+      shard.engine->park_row(shard.row_parents(shard.current_local),
+                             shard.row_bridges(shard.current_local));
+  if (seal != 0) {
+    shard.row_seal(shard.current_local) = seal;
+  } else {
     reseed(shard);
   }
   shard.current.reset();

@@ -25,12 +25,15 @@
 //    state (distance oracle, bus, policy clone) is shard infrastructure.
 //    Per-object protocol state lives in a compact row of the shard's slab:
 //    the engine parks into it and adopts from it in place (SimEngine::
-//    park_row/adopt_row: adopt validates the whole tree, park re-checks
-//    only the nodes the burst touched, neither allocates). A row is
-//    written from the canonical tree on first touch, so resident memory
-//    scales with objects actually used, not registered, and every
-//    adoption takes the same path. The steady-state switch is
-//    ARVY_HOT; first touch and re-seed are its only cold parts.
+//    park_row/adopt_row; neither allocates). Park re-checks only the nodes
+//    the burst touched and seals the row with a hash of its bytes; adopt
+//    validates the whole tree only when the row's seal is missing (first
+//    touch, re-seed) or no longer matches. A row is written from the
+//    canonical tree on first touch, so resident memory scales with objects
+//    actually used, not registered, and every adoption takes the same
+//    path. Each shard finds a row through a flat open-addressing index.
+//    The steady-state switch is ARVY_HOT; first touch (which alone grows
+//    the index) and re-seed are its only cold parts.
 //  - ServiceMode::kSim processes requests inline on the caller's thread:
 //    deterministic, seedable, inspectable any time the service is quiescent.
 //    ServiceMode::kLive pins one worker thread per shard, reusing the
@@ -50,10 +53,15 @@
 //  - observers must be installed before the first acquire;
 //  - every wait is a runtime::EventCount: each shard worker parks on its own
 //    (2 ms backstop) and is notified after each ring push; acquire_and_wait
-//    and drain wait on the service's progress EventCount. The processed
-//    count is one single-writer counter per shard, stored with release after
-//    the request's observers ran and summed with acquire loads, so a caller
-//    that returns from drain() may read what its observers wrote;
+//    and drain wait on the service's progress EventCount. A shard worker
+//    polls its ring for runtime::kSpinBeforePark before it parks when a
+//    busy spell just ended (runtime::poll_then_park, ActorSystem's rule),
+//    and only if the shard threads and one caller fit the usable CPUs
+//    (runtime::spin_fits, computed at construction). Callers park at
+//    once. The processed count is one single-writer counter per shard,
+//    stored with release after the request's observers ran and summed
+//    with acquire loads, so a caller that returns from drain() may read
+//    what its observers wrote;
 //  - holder/check_sampled/shard inspection are legal in kSim whenever the
 //    service is quiescent, and in kLive only after shutdown() (the joins
 //    provide the happens-before edge, exactly like ActorSystem::node);
@@ -194,13 +202,14 @@ class DirectoryService {
   [[nodiscard]] const proto::InitialConfig& canonical_config(
       ObjectId object) const;
   [[nodiscard]] std::uint64_t object_seed(ObjectId object) const noexcept;
-  std::unique_ptr<Shard> make_shard(std::uint32_t index);
+  // `poll`: the shard's thread (kLive) polls before it parks.
+  std::unique_ptr<Shard> make_shard(std::uint32_t index, bool poll);
 
   // Hot admission path: POD copy into the shard's ring + park notify.
   ARVY_HOT void enqueue(Shard& shard, const service::ObjectRequest& request);
 
   // Shard-worker side (the control thread plays worker in kSim).
-  void run_shard(Shard& shard);
+  void run_shard(Shard& shard, bool poll);
   bool drain_ring(Shard& shard);
   void process_request(Shard& shard, ObjectId object, graph::NodeId node);
   // The object switch: steady state parks into and adopts from the shard's

@@ -857,29 +857,31 @@ TEST(ActorSystemStress, ParkWakeChurnWithTinyRings) {
                    }});
 }
 
-TEST(ActorSystemStress, ChurnGapsStraddleTheSpinBeforePark) {
-  // The same storm with idle gaps drawn from 0.5x to 2x the spin budget: a
-  // round's first frame lands while a worker (or the waiting submitter)
-  // still polls, just as the poll gives up and registers on its
-  // EventCount, or after it sleeps - every side of the spin-to-park
-  // hand-over. A frame lost there stalls the round; a progress notify lost
-  // there sleeps a waiter to its 10 s ceiling, which counts as a failure.
-  // The gaps are busy-waited, since a sleep this short overshoots by the
-  // timer slack.
+// An idle gap drawn from 0.5x to 2x the spin budget, busy-waited, since a
+// sleep this short overshoots by the timer slack. The next frame then lands
+// while the waiter still polls, just as the poll gives up and registers on
+// its EventCount, or after it sleeps - every side of the spin-to-park
+// hand-over.
+void straddle_spin_before_park(support::Rng& rng) {
   const auto budget_ns = static_cast<std::uint64_t>(
       std::chrono::nanoseconds(runtime::kSpinBeforePark).count());
-  run_churn_storm(
-      {.seed = 911,
-       .rounds = 1000,
-       .submitters = 2,
-       .wait_ceiling = kNoLostNotify,
-       .idle = [budget_ns](int, int, support::Rng& rng) {
-         const auto until = runtime::deadline_after(std::chrono::nanoseconds(
-             budget_ns / 2 + rng.next_below(budget_ns * 3 / 2 + 1)));
-         while (runtime::EventCount::Clock::now() < until) {
-           support::cpu_relax();
-         }
-       }});
+  const auto until = runtime::deadline_after(std::chrono::nanoseconds(
+      budget_ns / 2 + rng.next_below(budget_ns * 3 / 2 + 1)));
+  while (runtime::EventCount::Clock::now() < until) support::cpu_relax();
+}
+
+TEST(ActorSystemStress, ChurnGapsStraddleTheSpinBeforePark) {
+  // The same storm with idle gaps that straddle the spin budget, on the
+  // workers' side and on the waiting submitter's. A frame lost on the
+  // hand-over stalls the round; a progress notify lost there sleeps a
+  // waiter to its 10 s ceiling, which counts as a failure.
+  run_churn_storm({.seed = 911,
+                   .rounds = 1000,
+                   .submitters = 2,
+                   .wait_ceiling = kNoLostNotify,
+                   .idle = [](int, int, support::Rng& rng) {
+                     straddle_spin_before_park(rng);
+                   }});
 }
 
 TEST(ActorSystemStress, ConcurrentWaitersAllWake) {
@@ -962,6 +964,38 @@ TEST(ServiceLiveStress, ObserverWritesAreVisibleRightAfterDrain) {
     }
   }
   service.shutdown();
+}
+
+TEST(ServiceLiveStress, IdleGapsStraddleTheShardPoll) {
+  // Volleys split by idle gaps that straddle the spin budget: a shard that
+  // just drained a volley polls its ring, so the next volley's first frame
+  // lands while it polls (the poll hits), just as it gives up and registers
+  // on its park EventCount, or after it sleeps (park and wake). A frame
+  // lost on that hand-over stalls the volley's drain; a progress notify
+  // lost there sleeps the drain to its 10 s ceiling. Both fail the round.
+  const auto g = graph::make_grid(3, 3);
+  constexpr std::size_t kObjects = 64;
+  DirectoryService service(g, kObjects, 2,
+                           {.policy = proto::PolicyKind::kIvy, .seed = 13},
+                           ServiceMode::kLive);
+  support::Rng rng(917);
+  for (int round = 0; round < 1000; ++round) {
+    const std::size_t volley = 1 + rng.next_below(8);
+    for (std::size_t i = 0; i < volley; ++i) {
+      service.acquire(
+          static_cast<service::ObjectId>(rng.next_below(kObjects)),
+          static_cast<NodeId>(rng.next_below(g.node_count())));
+    }
+    const auto deadline = runtime::deadline_after(kNoLostNotify);
+    ASSERT_TRUE(service.drain(kNoLostNotify)) << "round " << round;
+    ASSERT_LT(runtime::EventCount::Clock::now(), deadline)
+        << "round " << round;
+    straddle_spin_before_park(rng);
+  }
+  EXPECT_EQ(service.satisfied_count(), service.submitted_count());
+  service.shutdown();
+  const auto report = service.check_sampled();
+  EXPECT_TRUE(static_cast<bool>(report)) << report.first_failure;
 }
 
 TEST(ServiceLiveStress, AcquireAndWaitReturnsAfterItsOwnRequest) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -113,6 +114,37 @@ TEST(ServiceScale, MillionObjectsResidencyTracksTouchedSet) {
   const auto report = service.check_sampled(/*per_shard=*/4, /*seed=*/3);
   EXPECT_TRUE(static_cast<bool>(report)) << report.first_failure;
   EXPECT_GT(report.objects_checked, 0u);
+}
+
+TEST(ServiceScale, ResidencyIndexFindsEveryRowThroughItsGrowth) {
+  // One shard owns every object, so its residency index grows from its
+  // first 16 slots to 32,768, and every object touched on the way must
+  // still find its own parked row.
+  const auto g = graph::make_ring(8);
+  constexpr std::size_t kObjects = 1u << 20;
+  constexpr std::size_t kTouched = 10'000;
+  DirectoryService service(g, kObjects, 1,
+                           {.policy = proto::PolicyKind::kIvy});
+  std::map<service::ObjectId, NodeId> holder_of;  // the last requester wins
+  const auto touch = [&](service::ObjectId object, NodeId node) {
+    service.acquire(object, node);
+    holder_of[object] = node;
+  };
+  for (std::size_t i = 0; i < kTouched; ++i) {
+    touch(static_cast<service::ObjectId>(i * 104729 % kObjects),
+          static_cast<NodeId>(i % 8));
+  }
+  touch(kObjects - 1, static_cast<NodeId>(kTouched % 8));
+
+  EXPECT_EQ(service.satisfied_count(), kTouched + 1);
+  EXPECT_EQ(service.resident_objects(), holder_of.size());
+  for (const auto& [object, node] : holder_of) {
+    ASSERT_EQ(service.holder(object), std::optional<NodeId>{node})
+        << "object " << object;
+  }
+  const auto report = service.check_sampled(/*per_shard=*/64, /*seed=*/5);
+  EXPECT_TRUE(static_cast<bool>(report)) << report.first_failure;
+  EXPECT_EQ(report.objects_checked, 64u);
 }
 
 TEST(ServiceLive, MatchesSimTotalsOnTheSameVolley) {

@@ -17,6 +17,7 @@
 #include "runtime/event_count.hpp"
 #include "runtime/live_directory.hpp"
 #include "runtime/mailbox.hpp"
+#include "service/directory_service.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -310,36 +311,28 @@ std::chrono::nanoseconds process_cpu_time() {
          std::chrono::nanoseconds(now.tv_nsec);
 }
 
-TEST(LiveDirectory, IdlePoolStopsSpinning) {
-  // A worker polls for kSpinBeforePark when a busy spell ends and then
-  // parks; its 2 ms backstop wakes find nothing to do and must park again
-  // at once. On 4 vCPUs, alone or beside a `ctest -j4` run of the same
-  // build, the wakes alone cost 2-9 ms of CPU per 300 ms of idleness in a
-  // plain build and 5-13 ms under asan-ubsan. A poll re-armed by every wake
-  // adds about 3 workers x 500 wakes/s x 50 us = 22 ms: that mutant reads
-  // 25-34 ms plain and 27-39 ms under asan-ubsan. Under tsan the wakes
-  // alone cost 13-39 ms, swinging with the host's load (a pool that never
-  // polls reads the same), which leaves no room below a re-armed poll;
-  // there the bound only rules out a pool that never parks (about 900 ms).
+// The idle check of a pool of kIdleThreads polling threads (ActorSystem's
+// workers, DirectoryService's shards), run right after the caller's burst
+// left them busy. Each polls for kSpinBeforePark when a busy spell ends and
+// then parks; its 2 ms backstop wakes find nothing to do and must park
+// again at once. On 4 vCPUs, alone or beside a `ctest -j4` run of the same
+// build, the wakes alone cost 2-9 ms of CPU per 300 ms of idleness in a
+// plain build and 5-13 ms under asan-ubsan. A poll re-armed by every wake
+// adds about 3 threads x 500 wakes/s x 50 us = 22 ms: that mutant reads
+// 25-34 ms plain and 27-39 ms under asan-ubsan. A kLive service's 3 idle
+// shards read 3-4 ms plain, and 24-26 ms with that mutant. Under tsan the
+// wakes alone cost 13-39 ms, swinging with the host's load (a pool that
+// never polls reads the same), which leaves no room below a re-armed poll;
+// there the bound only rules out a pool that never parks (about 900 ms).
+constexpr std::size_t kIdleThreads = 3;
+
+void expect_idle_pool_stops_spinning() {
   constexpr auto kIdle = std::chrono::milliseconds(300);
   constexpr auto kIdleCpuBound =
       std::chrono::milliseconds(kThreadSanitizer ? 120 : 18);
-  constexpr std::size_t kWorkers = 3;
-  if (!runtime::spin_fits(kWorkers)) {
-    GTEST_SKIP() << kWorkers << " workers and a caller do not fit the "
-                 << "usable CPUs, so the pool never polls";
-  }
-  const auto g = graph::make_ring(64);
-  LiveDirectory dir(g, {.policy = proto::PolicyKind::kIvy,
-                        .seed = 3,
-                        .workers = kWorkers});
-  for (NodeId volley = 0; volley < 64; ++volley) {
-    for (NodeId k = 0; k < 16; ++k) dir.acquire((volley + 4 * k) % 64);
-    ASSERT_TRUE(dir.drain(kWait));
-  }
   // Let the pool park before the window opens. The kernel adds a running
   // thread's time to the process clock only at a tick or a context switch,
-  // so a worker still spinning at the first read would charge its share of
+  // so a thread still spinning at the first read would charge its share of
   // the burst to the idle window when it parks.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const std::chrono::nanoseconds before = process_cpu_time();
@@ -348,6 +341,42 @@ TEST(LiveDirectory, IdlePoolStopsSpinning) {
   EXPECT_LT(idle_cpu, kIdleCpuBound)
       << std::chrono::duration<double, std::milli>(idle_cpu).count()
       << " ms of CPU over " << kIdle.count() << " ms idle";
+}
+
+TEST(LiveDirectory, IdlePoolStopsSpinning) {
+  if (!runtime::spin_fits(kIdleThreads)) {
+    GTEST_SKIP() << kIdleThreads << " workers and a caller do not fit the "
+                 << "usable CPUs, so the pool never polls";
+  }
+  const auto g = graph::make_ring(64);
+  LiveDirectory dir(g, {.policy = proto::PolicyKind::kIvy,
+                        .seed = 3,
+                        .workers = kIdleThreads});
+  for (NodeId volley = 0; volley < 64; ++volley) {
+    for (NodeId k = 0; k < 16; ++k) dir.acquire((volley + 4 * k) % 64);
+    ASSERT_TRUE(dir.drain(kWait));
+  }
+  expect_idle_pool_stops_spinning();
+}
+
+TEST(ServiceLive, IdleShardsStopSpinning) {
+  if (!runtime::spin_fits(kIdleThreads)) {
+    GTEST_SKIP() << kIdleThreads << " shards and a caller do not fit the "
+                 << "usable CPUs, so the shards never poll";
+  }
+  const auto g = graph::make_grid(8, 8);
+  DirectoryService service(g, 1024, kIdleThreads,
+                           {.policy = proto::PolicyKind::kIvy, .seed = 3},
+                           ServiceMode::kLive);
+  support::Rng rng(5);
+  for (int volley = 0; volley < 64; ++volley) {
+    for (int k = 0; k < 16; ++k) {
+      service.acquire(rng.next_below(1024),
+                      static_cast<NodeId>(rng.next_below(64)));
+    }
+    ASSERT_TRUE(service.drain(kWait));
+  }
+  expect_idle_pool_stops_spinning();
 }
 
 TEST(ActorSystemDeath, InspectingLiveCoresAborts) {
