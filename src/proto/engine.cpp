@@ -190,11 +190,12 @@ void SimEngine::run_concurrent(std::span<const TimedRequest> requests) {
   run_until_idle();
 }
 
+template <RowWord Word>
 ARVY_HOT std::uint64_t SimEngine::park_row(
-    std::span<NodeId> parents, std::span<std::uint64_t> bridges) const {
+    std::span<Word> parents, std::span<std::uint64_t> bridges) const {
   ARVY_EXPECTS_MSG(bus_.idle(), "park requires a quiescent bus");
   const std::size_t n = cores_.size();
-  ARVY_EXPECTS(parents.size() == n);
+  ARVY_EXPECTS(parents.size() == n && n <= kRowNodes<Word>);
   ARVY_EXPECTS(bridges.empty() || bridges.size() == bridge_words(n));
   // Every other core is as the last adoption left it: no request, no token.
   NodeId holder = graph::kInvalidNode;
@@ -204,32 +205,40 @@ ARVY_HOT std::uint64_t SimEngine::park_row(
     if (cores_[v].outstanding().has_value()) return 0;
     if (cores_[v].holds_token()) holder = v;
   }
-  std::copy(parent_column_.begin(), parent_column_.end(), parents.begin());
-  if (!bridges.empty()) {
-    std::copy(bridge_column_.begin(), bridge_column_.end(), bridges.begin());
-  }
   // The dirty list holds every node whose parent changed since the columns
   // were last validated, and that tree's root (marked when it was seated).
   if (!walks_reach_root(parent_column_, holder, dirty_nodes(), walk_marks_,
                         walk_epoch_)) {
     return 0;
   }
-  return row_seal(parents, bridges);
+  // The columns are a rooted tree now, so every parent is below n and fits
+  // the row's word.
+  std::transform(parent_column_.begin(), parent_column_.end(), parents.begin(),
+                 [](NodeId p) { return static_cast<Word>(p); });
+  if (!bridges.empty()) {
+    std::copy(bridge_column_.begin(), bridge_column_.end(), bridges.begin());
+  }
+  return row_seal<Word>(parents, bridges);
 }
 
-ARVY_HOT void SimEngine::adopt_row(std::span<const NodeId> parents,
+template <RowWord Word>
+ARVY_HOT void SimEngine::adopt_row(std::span<const Word> parents,
                                    std::span<const std::uint64_t> bridges,
                                    std::uint64_t seal, std::uint64_t seed) {
   ARVY_EXPECTS_MSG(bus_.idle(), "adopt requires a quiescent bus");
   const std::size_t n = cores_.size();
-  ARVY_EXPECTS(parents.size() == n);
+  ARVY_EXPECTS(parents.size() == n && n <= kRowNodes<Word>);
   ARVY_EXPECTS(bridges.empty() || bridges.size() == bridge_words(n));
-  NodeId root = 0;
-  while (root < n && parents[root] != root) ++root;
   // A row whose bytes still hash to park's seal is the tree park validated.
-  const bool sealed = seal != 0 && row_seal(parents, bridges) == seal;
-  ARVY_EXPECTS_MSG(sealed || is_rooted_tree(parents, root, tree_scratch_),
-                   "adopted parent pointers must form a rooted tree");
+  const bool sealed = seal != 0 && row_seal<Word>(parents, bridges) == seal;
+  std::copy(parents.begin(), parents.end(), parent_column_.begin());
+  // The seal vouches for park's tree, not for a row handed in with a seal
+  // it never had: the root is checked on both paths.
+  const NodeId root = row_root<Word>(parents);
+  ARVY_EXPECTS_MSG(
+      root < n &&
+          (sealed || is_rooted_tree(parent_column_, root, tree_scratch_)),
+      "adopted parent pointers must form a rooted tree");
   // Only the nodes the last burst touched carry per-burst state.
   for (const NodeId v : dirty_nodes()) {
     cores_[v].reset_burst(false);
@@ -237,7 +246,6 @@ ARVY_HOT void SimEngine::adopt_row(std::span<const NodeId> parents,
     dirty_flag_[v] = 0;
   }
   dirty_count_ = 0;
-  std::copy(parents.begin(), parents.end(), parent_column_.begin());
   if (bridges.empty()) {
     std::fill(bridge_column_.begin(), bridge_column_.end(), std::uint64_t{0});
   } else {
@@ -253,11 +261,22 @@ ARVY_HOT void SimEngine::adopt_row(std::span<const NodeId> parents,
   policy_rng_ = support::Rng(seed ^ 0x9e3779b97f4a7c15ULL);
 }
 
+template std::uint64_t SimEngine::park_row<std::uint8_t>(
+    std::span<std::uint8_t>, std::span<std::uint64_t>) const;
+template std::uint64_t SimEngine::park_row<NodeId>(
+    std::span<NodeId>, std::span<std::uint64_t>) const;
+template void SimEngine::adopt_row<std::uint8_t>(
+    std::span<const std::uint8_t>, std::span<const std::uint64_t>,
+    std::uint64_t, std::uint64_t);
+template void SimEngine::adopt_row<NodeId>(std::span<const NodeId>,
+                                           std::span<const std::uint64_t>,
+                                           std::uint64_t, std::uint64_t);
+
 bool SimEngine::park_state(InitialConfig& out) const {
   const std::size_t n = cores_.size();
   out.parent.resize(n);
   out.parent_edge_is_bridge.resize(n);
-  const bool resumable = park_row(out.parent, bridge_scratch_) != 0;
+  const bool resumable = park_row<NodeId>(out.parent, bridge_scratch_) != 0;
   out.root = graph::kInvalidNode;
   for (NodeId v = 0; v < n; ++v) {
     out.parent_edge_is_bridge[v] = bridge_bit(bridge_scratch_, v);
@@ -275,7 +294,7 @@ void SimEngine::adopt_state(const InitialConfig& next, std::uint64_t seed) {
                        next.parent[next.root] == next.root,
                    "adopted parent pointers must form a rooted tree");
   pack_bridges(next.parent_edge_is_bridge, bridge_scratch_);
-  adopt_row(next.parent, bridge_scratch_, 0, seed);
+  adopt_row<NodeId>(next.parent, bridge_scratch_, 0, seed);
 }
 
 void pack_bridges(const std::vector<bool>& flags,

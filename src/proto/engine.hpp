@@ -5,7 +5,7 @@
 // (the paper's cost measure: "total distance traversed by the messages").
 //
 // Node state is kept split by lifetime (see proto/core.hpp). The persistent
-// part is two engine-owned columns in the parked row's own layout - n parent
+// part is two engine-owned columns in a NodeId row's layout - n parent
 // words and bridge_words(n) words of packed bridge flags - and each core's
 // NodeSlots point into them. The per-burst part lives in the cores and in
 // the per-node request queues. Every entry point that lets an event touch a
@@ -144,11 +144,15 @@ class SimEngine {
   // bursts and adopted back before the next one.
   //
   // A row is n parent words - a parked tree's root holds the token and is the
-  // row's only self-loop - plus bridge_words(n) words of packed bridge flags:
-  // the layout of the engine's own columns, so both directions copy the row
-  // whole and touch per-node state only at dirty nodes. An empty bridge span
-  // means: record no bridges (park), no bridges (adopt). Neither direction
-  // allocates. Precondition: the bus is idle.
+  // row's only self-loop - plus bridge_words(n) words of packed bridge flags.
+  // The parent word is a RowWord: a NodeId, the type of the engine's own
+  // parent column, or one byte on graphs of at most kRowNodes<std::uint8_t>
+  // (256) nodes, which the service uses there. Adopt widens the row into the
+  // columns and park narrows them back; both copy the row whole, with no
+  // per-node branch, and touch per-node state only at dirty nodes. An empty
+  // bridge span means: record no bridges (park), no bridges (adopt). Neither
+  // direction allocates. Preconditions: the bus is idle, and n is at most
+  // kRowNodes<Word>.
   //
   // park_row writes the current tree into the row and returns the row's
   // seal (row_seal: nonzero). It returns 0 when the parked state is NOT
@@ -158,12 +162,14 @@ class SimEngine {
   // initial tree (the documented crash-recovery semantics). The tree is
   // checked incrementally (walks_reach_root from the dirty list, which holds
   // every re-pointed node and the last validated root): equal to
-  // is_rooted_tree on the whole row, in O(touched). The seal is taken only
-  // once that check has passed, so it vouches for a validated tree.
-  [[nodiscard]] std::uint64_t park_row(std::span<NodeId> parents,
+  // is_rooted_tree on the whole row, in O(touched). The row is written and
+  // sealed only once that check has passed, so the seal vouches for a
+  // validated tree, and every parent it narrows is below n.
+  template <RowWord Word>
+  [[nodiscard]] std::uint64_t park_row(std::span<Word> parents,
                                        std::span<std::uint64_t> bridges) const;
 
-  // Copies the row into the columns, resets the per-burst state of the
+  // Widens the row into the columns, resets the per-burst state of the
   // nodes the last burst dirtied, seats the token at the row's self-loop,
   // clears the request ledger and cost account, and reseeds the policy RNG
   // stream with `seed` (same mixing as construction, so object 0 of a
@@ -176,15 +182,18 @@ class SimEngine {
   // ones park sealed, and adopt trusts park's incremental check for them
   // and skips the whole-row one. Otherwise (seal 0, or the row changed
   // after park) adopt aborts unless the whole row is a rooted tree
-  // (is_rooted_tree, O(n)). So the seal detects a row edited after park; it
-  // does not re-check what park validated.
-  void adopt_row(std::span<const NodeId> parents,
+  // (is_rooted_tree over the widened columns, O(n)), before any event runs.
+  // Either way it aborts on a row with no self-loop. So the seal detects a
+  // row edited after park; it does not re-check what park validated.
+  template <RowWord Word>
+  void adopt_row(std::span<const Word> parents,
                  std::span<const std::uint64_t> bridges, std::uint64_t seal,
                  std::uint64_t seed);
 
   // The same seam over a whole InitialConfig (vectors reused, no shrink):
-  // thin adapters that convert the bridge flags and call the row form,
-  // unsealed (park_state reports only resumability; adopt_state validates).
+  // thin adapters that convert the bridge flags and call the NodeId row
+  // form, unsealed (park_state reports only resumability; adopt_state
+  // validates).
   [[nodiscard]] bool park_state(InitialConfig& out) const;
   void adopt_state(const InitialConfig& next, std::uint64_t seed);
 

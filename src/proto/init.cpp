@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "support/assert.hpp"
 #include "support/hot.hpp"
@@ -41,9 +42,25 @@ constexpr std::uint64_t seal_step(std::uint64_t lane,
   return lane ^ (lane >> 32);
 }
 
-// Parents v and v + 1 as one word.
-constexpr std::uint64_t parent_pair(const NodeId* parents) noexcept {
-  return std::uint64_t{parents[0]} | (std::uint64_t{parents[1]} << 32);
+// The `count` (at most 8) bytes at `bytes` as a little-endian word, zero
+// above them.
+std::uint64_t load_le(const unsigned char* bytes, std::size_t count) noexcept {
+  std::uint64_t word = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    word |= std::uint64_t{bytes[k]} << (8 * k);
+  }
+  return word;
+}
+
+// The eight bytes at `bytes` as a little-endian word: one load on a
+// little-endian host.
+std::uint64_t load_le(const unsigned char* bytes) noexcept {
+  if constexpr (std::endian::native != std::endian::little) {
+    return load_le(bytes, 8);
+  }
+  std::uint64_t word = 0;
+  std::memcpy(&word, bytes, sizeof word);
+  return word;
 }
 
 }  // namespace
@@ -108,22 +125,22 @@ ARVY_HOT bool walks_reach_root(std::span<const NodeId> parents, NodeId root,
   return true;
 }
 
+template <RowWord Word>
 ARVY_HOT std::uint64_t row_seal(
-    std::span<const NodeId> parents,
+    std::span<const Word> parents,
     std::span<const std::uint64_t> bridges) noexcept {
-  static_assert(sizeof(NodeId) == 4, "a seal word holds two parents");
-  const std::size_t n = parents.size();
-  const NodeId* p = parents.data();
-  std::uint64_t a = 0x243f6a8885a308d3ULL ^ n;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(parents.data());
+  const std::size_t size = parents.size_bytes();
+  std::uint64_t a = 0x243f6a8885a308d3ULL ^ parents.size();
   std::uint64_t b = 0x13198a2e03707344ULL;
   std::uint64_t c = 0xa4093822299f31d0ULL;
   std::uint64_t d = 0x082efa98ec4e6c89ULL;
-  std::size_t v = 0;
-  for (; v + 8 <= n; v += 8) {
-    a = seal_step(a, parent_pair(p + v));
-    b = seal_step(b, parent_pair(p + v + 2));
-    c = seal_step(c, parent_pair(p + v + 4));
-    d = seal_step(d, parent_pair(p + v + 6));
+  std::size_t i = 0;
+  for (; i + 32 <= size; i += 32) {
+    a = seal_step(a, load_le(bytes + i));
+    b = seal_step(b, load_le(bytes + i + 8));
+    c = seal_step(c, load_le(bytes + i + 16));
+    d = seal_step(d, load_le(bytes + i + 24));
   }
   // The remaining words go to the lanes in turn: lane a takes the next one,
   // then the lanes rotate.
@@ -134,8 +151,8 @@ ARVY_HOT std::uint64_t row_seal(
     c = d;
     d = stepped;
   };
-  for (; v + 2 <= n; v += 2) absorb(parent_pair(p + v));
-  if (v < n) absorb(p[v]);
+  for (; i + 8 <= size; i += 8) absorb(load_le(bytes + i));
+  if (i < size) absorb(load_le(bytes + i, size - i));
   for (const std::uint64_t word : bridges) absorb(word);
   // splitmix64's finalizer over the lanes, each rotated apart.
   std::uint64_t h = a ^ std::rotl(b, 16) ^ std::rotl(c, 32) ^ std::rotl(d, 48);
@@ -144,6 +161,39 @@ ARVY_HOT std::uint64_t row_seal(
   h ^= h >> 31;
   return h != 0 ? h : 1;
 }
+
+// A byte row is scanned a word at a time: byte k of word ^ iota is zero iff
+// parent v + k is v + k (v + 7 < 256, so iota has no carry), and the
+// zero-byte test flags the first such byte exactly; a borrow can flag only
+// bytes above it.
+template <RowWord Word>
+ARVY_HOT NodeId row_root(std::span<const Word> parents) noexcept {
+  const std::size_t n = parents.size();
+  std::size_t v = 0;
+  if constexpr (sizeof(Word) == 1) {
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kHighs = 0x8080808080808080ULL;
+    constexpr std::uint64_t kIota = 0x0706050403020100ULL;
+    for (; v + 8 <= n; v += 8) {
+      const std::uint64_t x =
+          load_le(parents.data() + v) ^ (kIota + v * kOnes);
+      const std::uint64_t zero = (x - kOnes) & ~x & kHighs;
+      if (zero != 0) {
+        return static_cast<NodeId>(
+            v + static_cast<std::size_t>(std::countr_zero(zero)) / 8);
+      }
+    }
+  }
+  while (v < n && parents[v] != v) ++v;
+  return static_cast<NodeId>(v);
+}
+
+template std::uint64_t row_seal<std::uint8_t>(
+    std::span<const std::uint8_t>, std::span<const std::uint64_t>) noexcept;
+template std::uint64_t row_seal<NodeId>(
+    std::span<const NodeId>, std::span<const std::uint64_t>) noexcept;
+template NodeId row_root<std::uint8_t>(std::span<const std::uint8_t>) noexcept;
+template NodeId row_root<NodeId>(std::span<const NodeId>) noexcept;
 
 InitialConfig from_tree(const graph::RootedTree& tree) {
   ARVY_EXPECTS(tree.is_valid());

@@ -6,7 +6,9 @@
 // designated bridge edge.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -58,17 +60,38 @@ struct InitialConfig {
                                     std::span<std::uint64_t> marks,
                                     std::uint64_t& epoch) noexcept;
 
-// The seal of a parked row: a nonzero 64-bit hash of n, every parent word
-// and every bridge word. SimEngine::park_row returns it for a row it has
-// just validated, and adopt_row skips is_rooted_tree for a row whose bytes
-// still hash to the seal it is handed. Four independent lanes take every
-// fourth 64-bit word (two parents, or one bridge word) each through
-// xor-multiply-xorshift steps, then a splitmix64 finalizer mixes the lanes.
-// Every step is a bijection of its lane, so an edit to any one word changes
-// the seal unless it moves the final value between 0 and 1 (0 maps to 1).
+// A parked row's parent word: one byte per node on graphs of up to 256
+// nodes, a NodeId above (SimEngine::park_row/adopt_row, DirectoryService).
+template <typename Word>
+concept RowWord =
+    std::same_as<Word, std::uint8_t> || std::same_as<Word, NodeId>;
+
+// The most nodes a row of Word can name.
+template <RowWord Word>
+inline constexpr std::size_t kRowNodes =
+    std::size_t{std::numeric_limits<Word>::max()} + 1;
+
+// The seal of a parked row: a nonzero 64-bit hash of n and the row's stored
+// bytes - the parent words, then the bridge words. SimEngine::park_row
+// returns it for a row it has just validated, and adopt_row skips
+// is_rooted_tree for a row whose bytes still hash to the seal it is handed.
+// The parent bytes are read as 8-byte little-endian words, the last one
+// zero-padded, so a NodeId row packs two parents per word (an odd n's last
+// parent zero-extended) and a byte row eight. Four independent lanes take
+// every fourth word each through xor-multiply-xorshift steps, then a
+// splitmix64 finalizer mixes the lanes. Every step is a bijection of its
+// lane, so an edit to any one byte changes the seal unless it moves the
+// final value between 0 and 1 (0 maps to 1).
+template <RowWord Word>
 [[nodiscard]] std::uint64_t row_seal(
-    std::span<const NodeId> parents,
+    std::span<const Word> parents,
     std::span<const std::uint64_t> bridges) noexcept;
+
+// The row's first self-loop (parents[v] == v), or parents.size() when it has
+// none. A byte row (at most kRowNodes<std::uint8_t> parents) is scanned
+// eight parents per word.
+template <RowWord Word>
+[[nodiscard]] NodeId row_root(std::span<const Word> parents) noexcept;
 
 // Any rooted spanning tree, no bridge.
 [[nodiscard]] InitialConfig from_tree(const graph::RootedTree& tree);

@@ -108,17 +108,21 @@ class ResidencyIndex {
 // pay 1M allocations and 24 bytes of header each; the slab pays one
 // allocation per 256 objects and stores exactly n parent words (plus a
 // bridge bitmask when the policy needs it) and one seal word per object.
-// The engine parks into and adopts from these rows in place (SimEngine::
-// park_row/adopt_row); the seal is what park_row returned for the row, and
-// 0 until park has sealed it. A row is written from the canonical tree on
-// first touch, so chunks materialize lazily and a service with 1M
-// registered but 10k touched objects holds ~10k rows.
+// A parent word is one byte on graphs of up to 256 nodes and a NodeId above
+// (proto::RowWord), chosen once from the node count; visit_row is the one
+// place that picks it. The engine parks into and adopts from these rows in
+// place (SimEngine::park_row/adopt_row); the seal is what park_row returned
+// for the row, and 0 until park has sealed it. A row is written from the
+// canonical tree on first touch, so chunks materialize lazily and a service
+// with 1M registered but 10k touched objects holds ~10k rows.
 struct DirectoryService::Shard {
   static constexpr std::size_t kChunk = 256;  // objects per row chunk
+  static_assert(kChunk % sizeof(graph::NodeId) == 0);
 
   std::uint32_t index = 0;
   std::size_t nodes = 0;
   bool bridges_tracked = false;
+  bool byte_rows = false;  // nodes <= kRowNodes<std::uint8_t>
 
   std::unique_ptr<proto::SimEngine> engine;
 
@@ -127,7 +131,10 @@ struct DirectoryService::Shard {
   std::vector<ObjectId> owners;  // local id -> object id (check_sampled's pool)
 
   struct Chunk {
-    std::unique_ptr<graph::NodeId[]> parents;   // kChunk rows of `nodes` each
+    // kChunk rows of `nodes` parent words of the shard's width, in NodeId
+    // storage; byte rows read and write it as unsigned char, which may
+    // alias any object.
+    std::unique_ptr<graph::NodeId[]> parents;
     std::unique_ptr<std::uint64_t[]> bridges;   // null unless bridges_tracked
     std::unique_ptr<std::uint64_t[]> seals;     // kChunk row seals
   };
@@ -165,21 +172,32 @@ struct DirectoryService::Shard {
   std::thread thread;
   alignas(64) runtime::EventCount park;
 
+  [[nodiscard]] std::size_t word_bytes() const noexcept {
+    return byte_rows ? 1 : sizeof(graph::NodeId);
+  }
   [[nodiscard]] std::size_t bridge_words() const noexcept {
     return bridges_tracked ? proto::bridge_words(nodes) : 0;
   }
   [[nodiscard]] std::size_t row_bytes() const noexcept {
-    return nodes * sizeof(graph::NodeId) +
-           (bridge_words() + 1) * sizeof(std::uint64_t);
+    return nodes * word_bytes() + (bridge_words() + 1) * sizeof(std::uint64_t);
   }
 
-  // The row of local id `local` (its chunk must exist): parent words, and
-  // bridge words (empty unless bridges_tracked).
-  [[nodiscard]] std::span<graph::NodeId> row_parents(
-      std::uint32_t local) const {
+  // The parent words of local id `local`'s row (its chunk must exist), in
+  // the shard's width Word.
+  template <proto::RowWord Word>
+  [[nodiscard]] std::span<Word> row_parents(std::uint32_t local) const {
     const std::size_t chunk = local / kChunk;
-    ARVY_ASSERT(chunk < rows.size() && rows[chunk].parents);
-    return {rows[chunk].parents.get() + (local % kChunk) * nodes, nodes};
+    ARVY_ASSERT(chunk < rows.size() && rows[chunk].parents &&
+                sizeof(Word) == word_bytes());
+    return {reinterpret_cast<Word*>(rows[chunk].parents.get()) +
+                (local % kChunk) * nodes,
+            nodes};
+  }
+  // Calls fn(row_parents<Word>(local)) with the shard's width Word.
+  template <typename Fn>
+  decltype(auto) visit_row(std::uint32_t local, Fn&& fn) const {
+    if (byte_rows) return fn(row_parents<std::uint8_t>(local));
+    return fn(row_parents<graph::NodeId>(local));
   }
   [[nodiscard]] std::span<std::uint64_t> row_bridges(
       std::uint32_t local) const {
@@ -199,14 +217,18 @@ struct DirectoryService::Shard {
     if (chunk >= rows.size()) rows.resize(chunk + 1);
     Chunk& c = rows[chunk];
     if (!c.parents) {
-      c.parents = std::make_unique<graph::NodeId[]>(kChunk * nodes);
+      c.parents = std::make_unique<graph::NodeId[]>(kChunk * nodes *
+                                                    word_bytes() /
+                                                    sizeof(graph::NodeId));
       if (bridges_tracked) {
         c.bridges = std::make_unique<std::uint64_t[]>(kChunk * bridge_words());
       }
       c.seals = std::make_unique<std::uint64_t[]>(kChunk);
     }
-    std::copy(tree.parent.begin(), tree.parent.end(),
-              row_parents(local).begin());
+    visit_row(local, [&tree]<typename Word>(std::span<Word> parents) {
+      std::transform(tree.parent.begin(), tree.parent.end(), parents.begin(),
+                     [](graph::NodeId p) { return static_cast<Word>(p); });
+    });
     if (bridges_tracked) {
       proto::pack_bridges(tree.parent_edge_is_bridge, row_bridges(local));
     }
@@ -272,6 +294,7 @@ std::unique_ptr<DirectoryService::Shard> DirectoryService::make_shard(
   shard->index = index;
   shard->nodes = graph_->node_count();
   shard->bridges_tracked = track_bridges_;
+  shard->byte_rows = shard->nodes <= proto::kRowNodes<std::uint8_t>;
 
   proto::SimEngine::Options engine_options;
   engine_options.discipline = options_.discipline;
@@ -529,12 +552,11 @@ std::optional<graph::NodeId> DirectoryService::holder(ObjectId object) const {
   if (shard.current == object) return shard.engine->token_holder();
   const std::uint32_t local = shard.local_of.find(object);
   if (local == ResidencyIndex::kAbsent) return canonical_config(object).root;
-  const std::span<const graph::NodeId> row = shard.row_parents(local);
-  for (std::size_t v = 0; v < shard.nodes; ++v) {
-    if (row[v] == static_cast<graph::NodeId>(v)) {
-      return static_cast<graph::NodeId>(v);
-    }
-  }
+  const graph::NodeId root = shard.visit_row(
+      local, []<typename Word>(std::span<Word> parents) {
+        return proto::row_root<Word>(parents);
+      });
+  if (root < shard.nodes) return root;
   return std::nullopt;  // unreachable: parked rows always keep a root
 }
 
@@ -676,8 +698,10 @@ ARVY_HOT void DirectoryService::switch_object(Shard& shard, ObjectId object) {
   park_loaded(shard);
   std::uint32_t local = shard.local_of.find(object);
   if (local == ResidencyIndex::kAbsent) local = first_touch(shard, object);
-  shard.engine->adopt_row(shard.row_parents(local), shard.row_bridges(local),
-                          shard.row_seal(local), object_seed(object));
+  shard.visit_row(local, [&]<typename Word>(std::span<Word> parents) {
+    shard.engine->adopt_row<Word>(parents, shard.row_bridges(local),
+                                  shard.row_seal(local), object_seed(object));
+  });
   shard.current = object;
   shard.current_local = local;
 }
@@ -701,11 +725,14 @@ ARVY_HOT void DirectoryService::park_loaded(Shard& shard) {
   shard.committed.token_messages += costs.token_messages;
   shard.committed.max_visited_length =
       std::max(shard.committed.max_visited_length, costs.max_visited_length);
+  const std::uint32_t local = shard.current_local;
   const std::uint64_t seal =
-      shard.engine->park_row(shard.row_parents(shard.current_local),
-                             shard.row_bridges(shard.current_local));
+      shard.visit_row(local, [&shard, local]<typename Word>(
+                                 std::span<Word> parents) {
+        return shard.engine->park_row<Word>(parents, shard.row_bridges(local));
+      });
   if (seal != 0) {
-    shard.row_seal(shard.current_local) = seal;
+    shard.row_seal(local) = seal;
   } else {
     reseed(shard);
   }

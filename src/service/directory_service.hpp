@@ -15,7 +15,8 @@
 //                                        │ batched drain
 //                                        ▼
 //                    shard worker: ONE reusable SimEngine + parked per-object
-//                    trees (parent pointers + bridge bits, ~4·n bytes/object)
+//                    trees (parent pointers + bridge bits + a seal: n bytes
+//                    + 8 per object up to 256 nodes, 4·n + 8 above)
 //
 //  - Objects are hashed to shards at registration (RoutingTable: versioned
 //    epoch-published snapshots, single control-plane writer, lock-free
@@ -23,7 +24,8 @@
 //    migrates.
 //  - Each shard owns ONE discrete-event engine; the expensive per-engine
 //    state (distance oracle, bus, policy clone) is shard infrastructure.
-//    Per-object protocol state lives in a compact row of the shard's slab:
+//    Per-object protocol state lives in a compact row of the shard's slab,
+//    one byte per parent on graphs of up to 256 nodes and a NodeId above:
 //    the engine parks into it and adopts from it in place (SimEngine::
 //    park_row/adopt_row; neither allocates). Park re-checks only the nodes
 //    the burst touched and seals the row with a hash of its bytes; adopt

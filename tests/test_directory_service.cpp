@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -334,44 +335,28 @@ std::string shadow_param_name(
   return shadow_name(info.param);
 }
 
-class ServiceShadow : public testing::TestWithParam<ShadowParam> {};
-
-TEST_P(ServiceShadow, ParkedRowsMatchPerObjectDirectories) {
-  // Every object is shadowed by its own Directory replaying the same
-  // per-object sequence from the same initial tree (the GraphVerifier
-  // pattern): a parent, bridge bit or token parked or adopted wrong changes
-  // where later finds go, hence holders and costs. Algorithm 2 runs on the
-  // ring its split assumes; the other policies on a grid.
-  const ShadowParam param = GetParam();
-  if (param.policy == proto::PolicyKind::kRandom) {
-    GTEST_SKIP() << "ROADMAP item 2: adopt_row reseeds the policy RNG at "
-                    "every adoption, so a burst replays the object's "
-                    "opening draws and the shadow run diverges";
-  }
-  const bool bridge = param.policy == proto::PolicyKind::kBridge;
-  const graph::Graph g = bridge ? graph::make_ring(16) : graph::make_grid(4, 4);
-  Options options{.policy = param.policy, .seed = 3};
-  options.initial = bridge ? proto::ring_bridge_config(16)
-                           : proto::from_tree(graph::bfs_tree(g, 5));
-  constexpr std::size_t kObjects = 32;
-  DirectoryService service(g, kObjects, 3, options, param.mode);
+// Every object is shadowed by its own Directory replaying the same
+// per-object sequence from the same initial tree (the GraphVerifier
+// pattern): a parent, bridge bit or token parked or adopted wrong changes
+// where later finds go, hence holders and costs. `options.initial` must be
+// set, so that every object starts from the shadows' tree. Shuts the
+// service down (kLive: holders and check_sampled need the joins).
+void expect_matches_shadows(DirectoryService& service, const graph::Graph& g,
+                            const Options& options,
+                            std::span<const ObjectRequest> requests) {
+  ASSERT_TRUE(options.initial.has_value());
   std::vector<std::unique_ptr<Directory>> shadows;
-  for (std::size_t object = 0; object < kObjects; ++object) {
+  for (std::size_t object = 0; object < service.object_count(); ++object) {
     shadows.push_back(std::make_unique<Directory>(g, options));
   }
-
-  support::Rng rng(17);
-  for (int i = 0; i < 2000; ++i) {
-    const auto object =
-        static_cast<service::ObjectId>(rng.next_below(kObjects));
-    const auto node = static_cast<NodeId>(rng.next_below(g.node_count()));
-    service.acquire_and_wait(object, node);
-    shadows[object]->acquire_and_wait(node);
+  for (const ObjectRequest& request : requests) {
+    service.acquire_and_wait(request.object, request.node);
+    shadows[request.object]->acquire_and_wait(request.node);
   }
-  service.shutdown();  // kLive: holders and check_sampled need the joins
+  service.shutdown();
 
   proto::CostAccount shadow_costs;
-  for (service::ObjectId object = 0; object < kObjects; ++object) {
+  for (service::ObjectId object = 0; object < shadows.size(); ++object) {
     EXPECT_EQ(service.holder(object), shadows[object]->holder())
         << "object " << object;
     const proto::CostAccount& costs = shadows[object]->costs();
@@ -389,6 +374,35 @@ TEST_P(ServiceShadow, ParkedRowsMatchPerObjectDirectories) {
   EXPECT_TRUE(static_cast<bool>(report)) << report.first_failure;
 }
 
+class ServiceShadow : public testing::TestWithParam<ShadowParam> {};
+
+TEST_P(ServiceShadow, ParkedRowsMatchPerObjectDirectories) {
+  // Algorithm 2 runs on the ring its split assumes; the other policies on a
+  // grid.
+  const ShadowParam param = GetParam();
+  if (param.policy == proto::PolicyKind::kRandom) {
+    GTEST_SKIP() << "ROADMAP item 2: adopt_row reseeds the policy RNG at "
+                    "every adoption, so a burst replays the object's "
+                    "opening draws and the shadow run diverges";
+  }
+  const bool bridge = param.policy == proto::PolicyKind::kBridge;
+  const graph::Graph g = bridge ? graph::make_ring(16) : graph::make_grid(4, 4);
+  Options options{.policy = param.policy, .seed = 3};
+  options.initial = bridge ? proto::ring_bridge_config(16)
+                           : proto::from_tree(graph::bfs_tree(g, 5));
+  constexpr std::size_t kObjects = 32;
+  DirectoryService service(g, kObjects, 3, options, param.mode);
+  support::Rng rng(17);
+  std::vector<ObjectRequest> requests;
+  for (int i = 0; i < 2000; ++i) {
+    const auto object =
+        static_cast<service::ObjectId>(rng.next_below(kObjects));
+    const auto node = static_cast<NodeId>(rng.next_below(g.node_count()));
+    requests.push_back(ObjectRequest{object, node, 0});
+  }
+  expect_matches_shadows(service, g, options, requests);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Policies, ServiceShadow,
     testing::ValuesIn([] {
@@ -401,6 +415,51 @@ INSTANTIATE_TEST_SUITE_P(
       return params;
     }()),
     shadow_param_name);
+
+// --- Row width: one byte per node up to 256 nodes, NodeId words above ------
+
+// A service on ring:n in `mode`, checked against per-object shadows on a
+// volley that has the last node acquire every object first - so with Ivy
+// each object's row is first parked holding parent n - 1, the largest its
+// width must hold - and then random nodes; its resident bytes must be
+// `row_bytes` per resident object.
+void expect_row_width_boundary(std::size_t n, ServiceMode mode,
+                               std::size_t row_bytes) {
+  const graph::Graph g = graph::make_ring(n);
+  Options options{.policy = proto::PolicyKind::kIvy, .seed = 9};
+  options.initial = proto::path_config(n, 0);
+  constexpr std::size_t kObjects = 6;
+  DirectoryService service(g, kObjects, 2, options, mode);
+  support::Rng rng(41);
+  std::vector<ObjectRequest> requests;
+  for (std::size_t object = 0; object < kObjects; ++object) {
+    requests.push_back(ObjectRequest{object, static_cast<NodeId>(n - 1), 0});
+  }
+  for (int i = 0; i < 300; ++i) {
+    requests.push_back(ObjectRequest{
+        static_cast<service::ObjectId>(rng.next_below(kObjects)),
+        static_cast<NodeId>(rng.next_below(n)), 0});
+  }
+  expect_matches_shadows(service, g, options, requests);
+  EXPECT_EQ(service.resident_objects(), kObjects);
+  EXPECT_EQ(service.resident_bytes(), service.resident_objects() * row_bytes);
+}
+
+TEST(ServiceRowWidth, ByteRowsHoldEveryNodeOfA256NodeRing) {
+  // 256 one-byte parents and the seal word.
+  for (const ServiceMode mode : {ServiceMode::kSim, ServiceMode::kLive}) {
+    SCOPED_TRACE(mode == ServiceMode::kSim ? "kSim" : "kLive");
+    expect_row_width_boundary(256, mode, 256 + 8);
+  }
+}
+
+TEST(ServiceRowWidth, NodeIdRowsAboveTheByteLimit) {
+  // 257 nodes: node 256 has no byte, so each parent is a 4-byte NodeId.
+  for (const ServiceMode mode : {ServiceMode::kSim, ServiceMode::kLive}) {
+    SCOPED_TRACE(mode == ServiceMode::kSim ? "kSim" : "kLive");
+    expect_row_width_boundary(257, mode, 257 * 4 + 8);
+  }
+}
 
 TEST(ServiceObservers, HooksCarryTheObjectAxis) {
   const auto g = graph::make_ring(6);

@@ -433,6 +433,49 @@ TEST(IncrementalTree, AgreesWithTheWholeRowOnRandomEditsUpToThousandNodes) {
   EXPECT_GT(valid, 400u);
 }
 
+// --- The row root scan adopt runs -------------------------------------------
+
+// The scan's answer by definition: the first v with parents[v] == v.
+template <typename Word>
+NodeId first_self_loop(const std::vector<Word>& parents) {
+  NodeId v = 0;
+  while (v < parents.size() && NodeId{parents[v]} != v) ++v;
+  return v;
+}
+
+template <typename Word>
+void expect_row_root_finds_every_self_loop() {
+  // Rows of every length up to the byte limit, with no self-loop and then
+  // with one at each position, over a background that puts each parent one
+  // away from its node - the values a word-wide zero-byte test could borrow
+  // into - and over random backgrounds.
+  arvy::support::Rng rng(13);
+  for (std::size_t n = 1; n <= kRowNodes<std::uint8_t>; ++n) {
+    for (int background = 0; background < 3; ++background) {
+      std::vector<Word> row(n);
+      for (std::size_t v = 0; v < n; ++v) {
+        const std::size_t p = background == 0   ? v + 1
+                              : background == 1 ? v + n - 1
+                                                : rng.next_below(n);
+        row[v] = static_cast<Word>(p % n);
+      }
+      if (n == 1) row[0] = 0;
+      ASSERT_EQ(row_root<Word>(row), first_self_loop(row)) << "n " << n;
+      for (std::size_t r = 0; r < n; ++r) {
+        std::vector<Word> rooted = row;
+        rooted[r] = static_cast<Word>(r);
+        ASSERT_EQ(row_root<Word>(rooted), first_self_loop(rooted))
+            << "n " << n << " self-loop at " << r;
+      }
+    }
+  }
+}
+
+TEST(RowRoot, FindsTheFirstSelfLoopAtBothWidths) {
+  expect_row_root_finds_every_self_loop<std::uint8_t>();
+  expect_row_root_finds_every_self_loop<NodeId>();
+}
+
 TEST(RootedTreeDeath, ShortScratchAborts) {
   const InitialConfig cfg = chain_config(4);
   std::vector<NodeId> scratch(3);
