@@ -666,9 +666,7 @@ Action parse_action(std::string_view text) {
 }
 
 proto::PolicyKind parse_policy_kind(std::string_view name) {
-  for (const proto::PolicyKind kind : proto::all_policy_kinds()) {
-    if (proto::policy_kind_name(kind) == name) return kind;
-  }
+  if (const auto kind = proto::find_policy_kind(name)) return *kind;
   throw std::invalid_argument("arvy_explore: unknown policy '" +
                               std::string(name) + "'");
 }

@@ -70,18 +70,6 @@ T parse_integer(const std::string& spec, const std::string& field,
 
 }  // namespace
 
-const char* message_kind_name(MessageKind kind) noexcept {
-  switch (kind) {
-    case MessageKind::kFind:
-      return "find";
-    case MessageKind::kToken:
-      return "token";
-    case MessageKind::kOther:
-      return "other";
-  }
-  return "?";
-}
-
 bool FaultPlan::empty() const noexcept {
   return drop_find == 0.0 && drop_token == 0.0 && duplicate == 0.0 &&
          reorder == 0.0 && storms.empty() && pauses.empty() && stalls.empty();

@@ -24,13 +24,9 @@
 namespace arvy::faults {
 
 using graph::NodeId;
-// Mirrors proto::RequestId without depending on proto (faults sits below it).
-using RequestId = std::uint64_t;
 
 // What the injector needs to know about a message; the transport classifies.
-enum class MessageKind { kFind, kToken, kOther };
-
-[[nodiscard]] const char* message_kind_name(MessageKind kind) noexcept;
+enum class MessageKind { kFind, kToken };
 
 // During [at, at + duration) every message's latency is multiplied by
 // `factor` (modelled as extra distance-proportional delay; only observable

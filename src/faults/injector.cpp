@@ -15,38 +15,19 @@ void FaultStats::merge(const FaultStats& other) {
   lost_tokens += other.lost_tokens;
   delays += other.delays;
   overhead_distance += other.overhead_distance;
-  events.insert(events.end(), other.events.begin(), other.events.end());
 }
 
-FaultInjector::FaultInjector(FaultPlan plan, RetryPolicy retry,
-                             bool record_events)
+FaultInjector::FaultInjector(FaultPlan plan, RetryPolicy retry)
     : plan_(std::move(plan)),
       retry_(retry),
-      rng_(plan_.seed ^ 0xfa017c7d9e1f23abULL),
-      record_events_(record_events) {
+      rng_(plan_.seed ^ 0xfa017c7d9e1f23abULL) {
   ARVY_EXPECTS(retry_.max_attempts >= 1);
 }
 
-void FaultInjector::record(FaultEvent::Kind kind, MessageKind message,
-                           RequestId request, NodeId from, NodeId to,
-                           sim::Time now, std::uint32_t attempt) {
-  if (!record_events_) return;
-  FaultEvent event;
-  event.kind = kind;
-  event.message = message;
-  event.request = request;
-  event.from = from;
-  event.to = to;
-  event.at = now;
-  event.attempt = attempt;
-  stats_.events.push_back(event);
-}
-
-Verdict FaultInjector::on_send(MessageKind kind, NodeId from, NodeId to,
-                               sim::Time now, double distance,
-                               RequestId request) {
+sim::SendVerdict FaultInjector::on_send(MessageKind kind, NodeId to,
+                                        sim::Time now, double distance) {
   ARVY_EXPECTS_MSG(active(), "empty FaultPlan must bypass the injector");
-  Verdict verdict;
+  sim::SendVerdict verdict;
 
   // Scheduled delays: storms, ingress pauses, holder stalls. These model
   // slow links / unresponsive nodes, not loss, so they add latency only.
@@ -74,27 +55,22 @@ Verdict FaultInjector::on_send(MessageKind kind, NodeId from, NodeId to,
   if (scheduled > 0.0) {
     verdict.extra_delay += scheduled;
     ++stats_.delays;
-    record(FaultEvent::Kind::kDelay, kind, request, from, to, now, 0);
   }
 
   // Drop + retransmission chain, resolved at send time: attempt i is lost
   // with the per-transmission probability; each loss re-issues after the
   // capped exponential backoff until one survives or attempts run out.
-  const double drop_p = kind == MessageKind::kFind   ? plan_.drop_find
-                        : kind == MessageKind::kToken ? plan_.drop_token
-                                                      : 0.0;
+  const double drop_p =
+      kind == MessageKind::kFind ? plan_.drop_find : plan_.drop_token;
   if (drop_p > 0.0) {
     sim::Time backoff = retry_.rto;
     std::uint32_t attempt = 1;
     while (rng_.next_bool(drop_p)) {
       ++stats_.drops;
-      record(FaultEvent::Kind::kDrop, kind, request, from, to, now, attempt);
       if (!retry_.enabled || attempt >= retry_.max_attempts) {
         ++stats_.permanent_losses;
         if (kind == MessageKind::kFind) ++stats_.lost_finds;
         if (kind == MessageKind::kToken) ++stats_.lost_tokens;
-        record(FaultEvent::Kind::kPermanentLoss, kind, request, from, to, now,
-               attempt);
         verdict.lost = true;
         return verdict;
       }
@@ -102,7 +78,6 @@ Verdict FaultInjector::on_send(MessageKind kind, NodeId from, NodeId to,
       stats_.overhead_distance += distance;
       verdict.extra_delay += backoff;
       ++attempt;
-      record(FaultEvent::Kind::kRetry, kind, request, from, to, now, attempt);
       backoff = std::min(backoff * retry_.backoff, retry_.max_backoff);
     }
   }
@@ -113,7 +88,6 @@ Verdict FaultInjector::on_send(MessageKind kind, NodeId from, NodeId to,
     verdict.duplicates = 1;
     ++stats_.duplicates;
     stats_.overhead_distance += distance;
-    record(FaultEvent::Kind::kDuplicate, kind, request, from, to, now, 0);
   }
 
   return verdict;

@@ -22,6 +22,20 @@ bool is_canonical_ring(const graph::Graph& g) {
 
 }  // namespace
 
+MessageEvent message_event(
+    const sim::MessageBus<proto::Message>::InFlight& entry) noexcept {
+  MessageEvent event;
+  event.from = entry.from;
+  event.to = entry.to;
+  event.at = entry.deliver_at;
+  event.distance = entry.distance;
+  if (const auto* find = std::get_if<proto::FindMessage>(&entry.payload)) {
+    event.is_find = true;
+    event.request = find->request;
+  }
+  return event;
+}
+
 proto::InitialConfig default_initial_config(const graph::Graph& g,
                                             proto::PolicyKind policy) {
   if (policy == proto::PolicyKind::kBridge && is_canonical_ring(g)) {
@@ -145,17 +159,7 @@ void Directory::on_message(MessageObserver observer) {
   engine_->set_message_hook(
       [observer = std::move(observer)](
           const sim::MessageBus<proto::Message>::InFlight& entry) {
-        MessageEvent event;
-        event.from = entry.from;
-        event.to = entry.to;
-        event.at = entry.deliver_at;
-        event.distance = entry.distance;
-        if (const auto* find =
-                std::get_if<proto::FindMessage>(&entry.payload)) {
-          event.is_find = true;
-          event.request = find->request;
-        }
-        observer(event);
+        observer(message_event(entry));
       });
 }
 

@@ -58,6 +58,10 @@ struct MessageEvent {
   double distance = 0.0;         // shortest-path distance charged
 };
 
+// The event a simulator delivery reports to a message observer.
+[[nodiscard]] MessageEvent message_event(
+    const sim::MessageBus<proto::Message>::InFlight& entry) noexcept;
+
 // The transport-agnostic directory contract: everything here is meaningful
 // for both the discrete-event simulator and the threaded runtime. Code that
 // only needs this interface (benchmarks, fault matrices, examples) runs on
@@ -89,8 +93,8 @@ class AnyDirectory {
   // Value snapshot of the distance-weighted cost account (find + token).
   [[nodiscard]] virtual proto::CostAccount cost_snapshot() const = 0;
 
-  // Aggregated fault-injection statistics; all-zero when no faults were
-  // declared or the transport records none.
+  // Aggregated fault-injection counters; all-zero when no faults were
+  // declared.
   [[nodiscard]] virtual faults::FaultStats fault_stats() const = 0;
 };
 

@@ -66,18 +66,13 @@ SimEngine::SimEngine(const graph::Graph& g, const InitialConfig& init,
     // (the strict-no-op contract guarded by test_golden_schedule).
     injector_ = std::make_unique<faults::FaultInjector>(options.faults,
                                                         options.retry);
-    bus_.set_send_filter([this](NodeId from, NodeId to, const Message& payload,
+    bus_.set_send_filter([this](NodeId, NodeId to, const Message& payload,
                                 sim::Time now, double distance) {
       faults::MessageKind kind = faults::MessageKind::kToken;
-      RequestId request = 0;
-      if (const auto* find = std::get_if<FindMessage>(&payload)) {
+      if (std::holds_alternative<FindMessage>(payload)) {
         kind = faults::MessageKind::kFind;
-        request = find->request;
       }
-      const faults::Verdict verdict =
-          injector_->on_send(kind, from, to, now, distance, request);
-      return sim::SendVerdict{verdict.lost, verdict.extra_delay,
-                              verdict.duplicates};
+      return injector_->on_send(kind, to, now, distance);
     });
   }
 }

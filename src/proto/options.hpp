@@ -28,16 +28,14 @@
 //   .reorder_mailboxes  threaded-only: consume each drained ring batch in
 //                random order (full asynchrony).
 //   .workers     threaded-only: worker threads the node actors are
-//                partitioned across; defaults to the host's hardware thread
-//                count and is clamped to the node count (0 is rejected).
-//                1 = sequential and deterministic for a fixed submission
-//                order. Waits poll briefly before they park only when the
-//                pool (min(workers, node count), plus the fault nurse)
-//                leaves one usable CPU for the caller; the default leaves
-//                none unless the graph has fewer nodes than CPUs - 1, so on
-//                a busy live directory pick at most the usable CPUs - 1.
-//                DirectoryService ignores this: its worker count IS its
-//                shard count, and its waits never poll.
+//                partitioned across; defaults to the usable CPUs - 1 (at
+//                least 1), which leaves the caller a CPU, and is clamped to
+//                the node count (0 is rejected). 1 = sequential and
+//                deterministic for a fixed submission order. Waits poll
+//                briefly before they park only when the pool (min(workers,
+//                node count), plus the fault nurse) and the caller fit the
+//                usable CPUs. DirectoryService ignores this: its worker
+//                count IS its shard count, and its waits never poll.
 //   .batch_size  threaded-only: max ring slots drained per visit.
 //   .ring_capacity  threaded-only: ring slots per mailbox (rounded up to a
 //                power of two).
@@ -50,12 +48,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #include "faults/fault_plan.hpp"
 #include "proto/init.hpp"
 #include "proto/policies.hpp"
 #include "sim/delivery.hpp"
+#include "support/cpus.hpp"
 
 namespace arvy {
 
@@ -73,8 +71,7 @@ struct Options {
   // --- threaded transport (LiveDirectory / DirectoryService kLive) ---------
   std::chrono::microseconds max_jitter{0};
   bool reorder_mailboxes = false;
-  std::size_t workers =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  std::size_t workers = std::max<std::size_t>(1, support::usable_cpus() - 1);
   std::size_t batch_size = 16;
   std::size_t ring_capacity = 256;
   std::chrono::microseconds fault_time_unit{200};

@@ -195,6 +195,13 @@ std::string_view policy_kind_name(PolicyKind kind) noexcept {
   return "unknown";
 }
 
+std::optional<PolicyKind> find_policy_kind(std::string_view name) noexcept {
+  for (const PolicyKind kind : kAllKinds) {
+    if (policy_kind_name(kind) == name) return kind;
+  }
+  return std::nullopt;
+}
+
 std::unique_ptr<NewParentPolicy> make_policy(PolicyKind kind, std::size_t k) {
   switch (kind) {
     case PolicyKind::kArrow:

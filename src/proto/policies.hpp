@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string_view>
 
 #include "proto/policy.hpp"
@@ -20,6 +21,10 @@ enum class PolicyKind {
 };
 
 [[nodiscard]] std::string_view policy_kind_name(PolicyKind kind) noexcept;
+
+// The kind whose policy_kind_name is `name`, or nullopt for an unknown name.
+[[nodiscard]] std::optional<PolicyKind> find_policy_kind(
+    std::string_view name) noexcept;
 
 // Factory. `k` is only used by kKBack; randomized policies draw from the
 // engine-supplied rng in the PolicyContext. kSpectrum defaults to the

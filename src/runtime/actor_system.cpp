@@ -78,10 +78,8 @@ ActorSystem::ActorSystem(const graph::Graph& g,
   }
   start_ = std::chrono::steady_clock::now();
   if (!options_.faults.empty()) {
-    // Counters only: a per-event log under a hot mutex would serialize the
-    // actors harder than the faults do.
-    injector_ = std::make_unique<faults::FaultInjector>(
-        options_.faults, options_.retry, /*record_events=*/false);
+    injector_ = std::make_unique<faults::FaultInjector>(options_.faults,
+                                                        options_.retry);
     nurse_ = std::thread([this] { run_nurse(); });
   }
   spin_ = spin_fits(worker_count + (injector_ ? 1 : 0));
@@ -439,12 +437,10 @@ void ActorSystem::send_with_faults(const NodeActor& from,
   const bool is_find = send.send == proto::Effects::Send::kFind;
   const faults::MessageKind kind =
       is_find ? faults::MessageKind::kFind : faults::MessageKind::kToken;
-  const faults::RequestId request = is_find ? from.scratch_find.request : 0;
-  faults::Verdict verdict;
+  sim::SendVerdict verdict;
   {
     std::lock_guard<support::RankedMutex> lock(faults_mutex_);
-    verdict = injector_->on_send(kind, from.id, send.to, fault_now(),
-                                 distance, request);
+    verdict = injector_->on_send(kind, send.to, fault_now(), distance);
   }
   if (verdict.lost) return;  // permanently lost: retries exhausted/disabled
   const std::uint64_t dedup =

@@ -24,10 +24,10 @@
 //
 // Threading contract (checked under ThreadSanitizer by the tier-1 suite):
 //  - each core is touched only by the worker that owns its actor; the pool
-//    has min(workers, node_count) threads (workers defaults to the host's
-//    hardware threads, which turns the polling below off unless the graph
-//    has fewer nodes than CPUs - 1), and with workers == 1 the runtime is
-//    sequential and deterministic for a fixed submission order;
+//    has min(workers, node_count) threads (workers defaults to the usable
+//    CPUs - 1, so a default pool leaves the caller a CPU), and with
+//    workers == 1 the runtime is sequential and deterministic for a fixed
+//    submission order;
 //  - the policy object is cloned per node; cores also get per-node RNGs;
 //  - the distance oracle is prewarmed before threads start and then only read;
 //  - cost accounting is per-actor single-writer atomics (the owner worker of

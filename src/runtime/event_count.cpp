@@ -1,12 +1,8 @@
 #include "runtime/event_count.hpp"
 
-#include <algorithm>
 #include <mutex>
-#include <thread>
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
+#include "support/cpus.hpp"
 
 // TSan does not model standalone fences (GCC diagnoses them under
 // -fsanitize=thread). The two fences below only pair the waiter count with
@@ -53,15 +49,7 @@ bool EventCount::wait(ReadyFn ready, const void* context,
 }
 
 bool spin_fits(std::size_t threads) {
-  std::size_t cpus = std::max(1u, std::thread::hardware_concurrency());
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    cpus = static_cast<std::size_t>(CPU_COUNT(&set));
-  }
-#endif
-  return threads + 1 <= cpus;
+  return threads + 1 <= support::usable_cpus();
 }
 
 }  // namespace arvy::runtime

@@ -131,8 +131,8 @@ template <typename Ready>
 }
 
 // Whether `threads` busy threads and one caller fit in the CPUs this
-// process may run on (its affinity mask, else the hardware thread count).
-// A system computes it once at construction and spins only when it holds.
+// process may run on (support::usable_cpus). A system computes it once at
+// construction and spins only when it holds.
 [[nodiscard]] bool spin_fits(std::size_t threads);
 
 // The idle step of a worker loop (ActorSystem's workers, DirectoryService's

@@ -6,7 +6,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <variant>
 
 #include "graph/spanning_tree.hpp"
 #include "proto/messages.hpp"
@@ -20,17 +19,6 @@ namespace arvy {
 namespace {
 
 constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-
-void accumulate(faults::FaultStats& into, const faults::FaultStats& from) {
-  into.drops += from.drops;
-  into.retries += from.retries;
-  into.duplicates += from.duplicates;
-  into.permanent_losses += from.permanent_losses;
-  into.lost_finds += from.lost_finds;
-  into.lost_tokens += from.lost_tokens;
-  into.delays += from.delays;
-  into.overhead_distance += from.overhead_distance;
-}
 
 // The residency index of one shard: object id -> local id, in one flat
 // open-addressing table (linear probing, multiplicative hash, power-of-two
@@ -162,8 +150,9 @@ struct DirectoryService::Shard {
   std::atomic<std::uint64_t> processed{0};        // ARVY-ATOMIC(single-writer)
   std::atomic<std::uint64_t> satisfied{0};        // ARVY-ATOMIC(single-writer)
 
-  // Copied from the injector under the service stats mutex on each processed
-  // request, so fault_stats() never races the worker (see copy_fault_stats).
+  // kLive: copied from the injector under the service stats mutex after
+  // each processed request, so fault_stats() never races the worker (see
+  // copy_fault_stats). kSim reads the injector instead.
   faults::FaultStats fault_snapshot;
 
   // kLive: admission ring + pinned worker, parked on `park` when idle. The
@@ -459,7 +448,7 @@ faults::FaultStats DirectoryService::shard_fault_stats(
 faults::FaultStats DirectoryService::fault_stats() const {
   faults::FaultStats total;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    accumulate(total, shard_fault_stats(s));
+    total.merge(shard_fault_stats(s));
   }
   return total;
 }
@@ -493,17 +482,7 @@ void DirectoryService::install_message_hook(Shard& shard) {
   Shard* raw = &shard;
   shard.engine->set_message_hook(
       [this, raw](const sim::MessageBus<proto::Message>::InFlight& entry) {
-        MessageEvent event;
-        event.from = entry.from;
-        event.to = entry.to;
-        event.at = entry.deliver_at;
-        event.distance = entry.distance;
-        if (const auto* find =
-                std::get_if<proto::FindMessage>(&entry.payload)) {
-          event.is_find = true;
-          event.request = find->request;
-        }
-        message_observer_(raw->current.value_or(0), event);
+        message_observer_(raw->current.value_or(0), message_event(entry));
       });
 }
 
@@ -769,9 +748,12 @@ void DirectoryService::flush_costs(Shard& shard) {
 }
 
 ARVY_HOT void DirectoryService::note_progress(Shard& shard) {
-  // The fault snapshot goes first, so a caller that sees this request
-  // processed also sees its fault counts.
-  if (shard.engine->injector() != nullptr) copy_fault_stats(shard);
+  // kLive's fault snapshot goes first, so a caller that sees this request
+  // processed also sees its fault counts. kSim's readers run on this thread
+  // and read the injector itself (shard_fault_stats).
+  if (mode_ == ServiceMode::kLive && shard.engine->injector() != nullptr) {
+    copy_fault_stats(shard);
+  }
   // Single writer, so load + store is exact. The release orders everything
   // this request did - the satisfied observer's writes included - before
   // any waiter whose acquire load sees the new count.

@@ -52,17 +52,6 @@ namespace arvy::sim {
 using graph::NodeId;
 using MessageId = std::uint64_t;
 
-// What a SendFilter tells the bus to do with one logical send.
-struct SendVerdict {
-  bool lost = false;             // permanently lost: never enqueued
-  Time extra_delay = 0.0;        // added to the delivery delay (kTimed only)
-  std::uint32_t duplicates = 0;  // extra copies sharing a dedup group
-};
-
-// Message-POD discipline (lint `msgpod`): the verdict crosses the send
-// seam by value on every filtered send.
-static_assert(std::is_trivially_copyable_v<SendVerdict>);
-
 template <typename Msg>
 class MessageBus {
  public:
@@ -71,7 +60,6 @@ class MessageBus {
     NodeId from = graph::kInvalidNode;
     NodeId to = graph::kInvalidNode;
     Msg payload{};
-    Time sent_at = 0.0;
     Time deliver_at = 0.0;
     double distance = 0.0;
     // Non-zero when this message was duplicated in flight: the id of the
@@ -291,7 +279,6 @@ class MessageBus {
   struct Slot {
     InFlight entry{};
     std::uint32_t next_free = kNoSlot;
-    bool live = false;
   };
 
   ARVY_HOT MessageId pick_next() {
@@ -347,14 +334,12 @@ class MessageBus {
     entry.from = from;
     entry.to = to;
     entry.payload = std::move(payload);
-    entry.sent_at = now_;
     entry.distance = distance;
     entry.dup_group = group;
     entry.deliver_at =
         now_ + (discipline_ == Discipline::kTimed
                     ? delay_->delay(from, to, distance, rng_) + extra_delay
                     : 0.0);
-    slots_[slot].live = true;
     ++live_count_;
     push_order(slot);
     if (discipline_ == Discipline::kTimed) {
@@ -399,7 +384,6 @@ class MessageBus {
     const auto w = static_cast<std::size_t>(id - window_base_id_);
     window_[w] = kNoSlot;
     fenwick_add(w, false);
-    slots_[slot].live = false;
     slots_[slot].next_free = free_head_;
     free_head_ = slot;
     --live_count_;

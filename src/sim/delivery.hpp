@@ -7,8 +7,10 @@
 // the natural reading of "routing follows shortest paths".
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 
 #include "graph/graph.hpp"
 #include "sim/time.hpp"
@@ -18,7 +20,7 @@ namespace arvy::sim {
 
 // How the bus picks the next in-flight message to deliver.
 enum class Discipline {
-  kTimed,     // by deliver_at = sent_at + DelayModel(...), ties by send order
+  kTimed,     // by deliver_at = send time + DelayModel(...), ties by send order
   kFifo,      // global send order (a "nice" network)
   kLifo,      // newest first (maximal overtaking)
   kRandom,    // uniformly random pending message (the classic async adversary)
@@ -31,6 +33,18 @@ enum class Discipline {
 // are assigned deterministically by send order, so a schedule recorded from
 // one run replays against any other run of the same deterministic program.
 using Schedule = std::vector<std::uint64_t>;
+
+// The fate of one logical send: what a MessageBus send filter, and the
+// fault injector behind it on either transport, decides.
+struct SendVerdict {
+  bool lost = false;             // permanently lost: never enqueued
+  Time extra_delay = 0.0;        // added to the delivery delay (kTimed only)
+  std::uint32_t duplicates = 0;  // extra copies sharing a dedup group
+};
+
+// Message-POD discipline (lint `msgpod`): the verdict crosses the send
+// seam by value on every filtered send.
+static_assert(std::is_trivially_copyable_v<SendVerdict>);
 
 // Latency assigned to a message under Discipline::kTimed.
 class DelayModel {

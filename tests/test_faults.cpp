@@ -176,8 +176,8 @@ TEST(FaultInjector, DeterministicAcrossRuns) {
   plan.seed = 11;
   faults::FaultInjector a(plan), b(plan);
   for (int i = 0; i < 200; ++i) {
-    const auto va = a.on_send(MessageKind::kFind, 0, 1, i * 1.0, 1.0, 1);
-    const auto vb = b.on_send(MessageKind::kFind, 0, 1, i * 1.0, 1.0, 1);
+    const auto va = a.on_send(MessageKind::kFind, 1, i * 1.0, 1.0);
+    const auto vb = b.on_send(MessageKind::kFind, 1, i * 1.0, 1.0);
     EXPECT_EQ(va.lost, vb.lost);
     EXPECT_DOUBLE_EQ(va.extra_delay, vb.extra_delay);
     EXPECT_EQ(va.duplicates, vb.duplicates);
@@ -192,7 +192,7 @@ TEST(FaultInjector, DropChainAccountingBalances) {
   plan.seed = 3;
   faults::FaultInjector injector(plan, {.rto = 4.0, .backoff = 2.0});
   for (int i = 0; i < 500; ++i) {
-    (void)injector.on_send(MessageKind::kFind, 0, 1, 0.0, 1.0, 1);
+    (void)injector.on_send(MessageKind::kFind, 1, 0.0, 1.0);
   }
   const auto& stats = injector.stats();
   EXPECT_GT(stats.drops, 0u);
@@ -205,7 +205,7 @@ TEST(FaultInjector, RetryOffMakesEveryDropPermanent) {
   FaultPlan plan;
   plan.drop_token = 1.0;  // certain drop
   faults::FaultInjector injector(plan, {.enabled = false});
-  const auto verdict = injector.on_send(MessageKind::kToken, 0, 1, 0.0, 1.0);
+  const auto verdict = injector.on_send(MessageKind::kToken, 1, 0.0, 1.0);
   EXPECT_TRUE(verdict.lost);
   EXPECT_EQ(injector.stats().permanent_losses, 1u);
   EXPECT_EQ(injector.stats().lost_tokens, 1u);
@@ -218,7 +218,7 @@ TEST(FaultInjector, BackoffIsCappedExponential) {
   faults::FaultInjector injector(
       plan, {.rto = 1.0, .backoff = 2.0, .max_backoff = 4.0,
              .max_attempts = 6});
-  const auto verdict = injector.on_send(MessageKind::kFind, 0, 1, 0.0, 1.0, 1);
+  const auto verdict = injector.on_send(MessageKind::kFind, 1, 0.0, 1.0);
   // 5 retries accumulate 1 + 2 + 4 + 4 + 4 before the 6th attempt gives up.
   EXPECT_TRUE(verdict.lost);
   EXPECT_EQ(injector.stats().retries, 5u);
@@ -229,7 +229,7 @@ TEST(FaultInjector, DropProbabilityZeroMeansNoDrops) {
   FaultPlan plan;
   plan.duplicate = 1.0;  // active plan, but no drops configured
   faults::FaultInjector injector(plan);
-  const auto verdict = injector.on_send(MessageKind::kFind, 0, 1, 0.0, 2.0, 1);
+  const auto verdict = injector.on_send(MessageKind::kFind, 1, 0.0, 2.0);
   EXPECT_FALSE(verdict.lost);
   EXPECT_EQ(verdict.duplicates, 1u);
   EXPECT_DOUBLE_EQ(injector.stats().overhead_distance, 2.0);
@@ -239,11 +239,9 @@ TEST(FaultInjector, StormStretchesDelivery) {
   FaultPlan plan;
   plan.storms.push_back({.at = 10.0, .duration = 5.0, .factor = 4.0});
   faults::FaultInjector injector(plan);
-  const auto in_storm =
-      injector.on_send(MessageKind::kFind, 0, 1, 12.0, 2.0, 1);
+  const auto in_storm = injector.on_send(MessageKind::kFind, 1, 12.0, 2.0);
   EXPECT_DOUBLE_EQ(in_storm.extra_delay, 3.0 * 2.0);  // (factor-1)*distance
-  const auto outside =
-      injector.on_send(MessageKind::kFind, 0, 1, 20.0, 2.0, 1);
+  const auto outside = injector.on_send(MessageKind::kFind, 1, 20.0, 2.0);
   EXPECT_DOUBLE_EQ(outside.extra_delay, 0.0);
   EXPECT_EQ(injector.stats().delays, 1u);
 }
@@ -252,9 +250,9 @@ TEST(FaultInjector, PauseDefersIngressUntilWindowEnd) {
   FaultPlan plan;
   plan.pauses.push_back({.node = 1, .at = 10.0, .duration = 6.0});
   faults::FaultInjector injector(plan);
-  const auto to_paused = injector.on_send(MessageKind::kFind, 0, 1, 12.0, 1.0, 1);
+  const auto to_paused = injector.on_send(MessageKind::kFind, 1, 12.0, 1.0);
   EXPECT_DOUBLE_EQ(to_paused.extra_delay, 4.0);  // until t=16
-  const auto to_other = injector.on_send(MessageKind::kFind, 0, 2, 12.0, 1.0, 1);
+  const auto to_other = injector.on_send(MessageKind::kFind, 2, 12.0, 1.0);
   EXPECT_DOUBLE_EQ(to_other.extra_delay, 0.0);
 }
 
@@ -262,9 +260,9 @@ TEST(FaultInjector, StallAffectsTokensOnly) {
   FaultPlan plan;
   plan.stalls.push_back({.at = 5.0, .duration = 10.0});
   faults::FaultInjector injector(plan);
-  const auto token = injector.on_send(MessageKind::kToken, 0, 1, 7.0, 1.0);
+  const auto token = injector.on_send(MessageKind::kToken, 1, 7.0, 1.0);
   EXPECT_DOUBLE_EQ(token.extra_delay, 8.0);  // until t=15
-  const auto find = injector.on_send(MessageKind::kFind, 0, 1, 7.0, 1.0, 1);
+  const auto find = injector.on_send(MessageKind::kFind, 1, 7.0, 1.0);
   EXPECT_DOUBLE_EQ(find.extra_delay, 0.0);
 }
 

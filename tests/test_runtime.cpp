@@ -18,6 +18,7 @@
 #include "runtime/live_directory.hpp"
 #include "runtime/mailbox.hpp"
 #include "service/directory_service.hpp"
+#include "support/cpus.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -227,14 +228,19 @@ TEST(ActorSystem, WorkerPoolConfigsStayCorrect) {
   }
 }
 
-TEST(ActorSystem, WorkerCountDefaultsToHardwareThreadsClampedToNodes) {
+TEST(ActorSystem, WorkerCountDefaultsToUsableCpusLessOneClampedToNodes) {
   const auto g = graph::make_ring(6);
   auto policy = proto::make_policy(proto::PolicyKind::kIvy);
-  const std::size_t hardware =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  EXPECT_EQ(Options{}.workers, hardware);
+  const std::size_t cpus = support::usable_cpus();
+  const std::size_t expected = std::max<std::size_t>(1, cpus - 1);
+  EXPECT_EQ(Options{}.workers, expected);
+  // The default leaves the caller a CPU, so a default pool polls before it
+  // parks whenever 2 or more CPUs are usable.
+  if (cpus >= 2) {
+    EXPECT_TRUE(runtime::spin_fits(Options{}.workers));
+  }
   runtime::ActorSystem defaulted(g, proto::ring_bridge_config(6), *policy);
-  EXPECT_EQ(defaulted.worker_count(), std::min<std::size_t>(hardware, 6));
+  EXPECT_EQ(defaulted.worker_count(), std::min<std::size_t>(expected, 6));
   runtime::ActorSystem oversized(g, proto::ring_bridge_config(6), *policy,
                                  {.workers = 64});
   EXPECT_EQ(oversized.worker_count(), 6u);

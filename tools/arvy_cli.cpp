@@ -216,9 +216,7 @@ graph::Graph build_graph(const std::string& spec, std::uint64_t seed) {
 }
 
 proto::PolicyKind parse_policy(const std::string& name) {
-  for (proto::PolicyKind kind : proto::all_policy_kinds()) {
-    if (name == proto::policy_kind_name(kind)) return kind;
-  }
+  if (const auto kind = proto::find_policy_kind(name)) return *kind;
   usage_error("unknown policy " + name +
               " (try: arrow ivy bridge random midpoint closest kback spectrum)");
 }
