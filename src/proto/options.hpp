@@ -33,8 +33,8 @@
 //                the node count (0 is rejected). 1 = sequential and
 //                deterministic for a fixed submission order. Waits poll
 //                briefly before they park only when the pool (min(workers,
-//                node count), plus the fault nurse) and the caller fit the
-//                usable CPUs. DirectoryService ignores this: its worker
+//                node count)) and the caller fit the usable CPUs, faults
+//                on or off. DirectoryService ignores this: its worker
 //                count IS its shard count, and its waits never poll.
 //   .batch_size  threaded-only: max ring slots drained per visit.
 //   .ring_capacity  threaded-only: ring slots per mailbox (rounded up to a

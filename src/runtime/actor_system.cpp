@@ -20,16 +20,6 @@ ARVY_HOT std::size_t encode_send(const proto::Effects& send,
                                                   out);
 }
 
-// A boxed copy of that envelope, for the cold paths.
-ARVY_COLD std::vector<std::byte> box(const proto::Effects& send,
-                                     const proto::FindMessage& find,
-                                     std::uint64_t dedup) {
-  std::vector<std::byte> frame(proto::wire::envelope_bytes(
-      send.send == proto::Effects::Send::kFind ? find.visited.size() : 0));
-  (void)encode_send(send, find, dedup, frame.data());
-  return frame;
-}
-
 }  // namespace
 
 ActorSystem::ActorSystem(const graph::Graph& g,
@@ -80,9 +70,8 @@ ActorSystem::ActorSystem(const graph::Graph& g,
   if (!options_.faults.empty()) {
     injector_ = std::make_unique<faults::FaultInjector>(options_.faults,
                                                         options_.retry);
-    nurse_ = std::thread([this] { run_nurse(); });
   }
-  spin_ = spin_fits(worker_count + (injector_ ? 1 : 0));
+  spin_ = spin_fits(worker_count);
   for (auto& worker : workers_) {
     worker->thread = std::thread([this, w = worker.get()] { run_worker(*w); });
   }
@@ -179,23 +168,16 @@ faults::FaultStats ActorSystem::fault_stats() const {
 
 void ActorSystem::shutdown() {
   if (is_shut_down()) return;
-  // Order matters: the nurse pushes into rings, so it must be stopped and
-  // joined before any ring closes. Deferred items still pending are
-  // discarded - by the time callers shut down they have either waited for
-  // quiescence or accepted the loss.
-  delayed_.close();
-  if (nurse_.joinable()) nurse_.join();
   // Tell workers to exit once their partition runs dry, then close the
-  // channels. A worker drains everything already published before leaving;
-  // frames sent to an already-closed ring during a non-quiescent teardown
-  // are the documented accepted loss. The flag is part of every worker's
-  // park condition, so the notify below either wakes a parked worker or is
-  // seen by its next park attempt.
+  // channels. A worker drains everything already published before leaving
+  // and drops the frames it still holds; those, and frames sent to an
+  // already-closed ring during a non-quiescent teardown, are the documented
+  // accepted loss - by the time callers shut down they have either waited
+  // for quiescence or accepted it. The flag is part of every worker's park
+  // condition, so the notify below either wakes a parked worker or is seen
+  // by its next park attempt.
   stopping_.store(true, std::memory_order_release);
-  for (auto& actor : actors_) {
-    actor->ring->close();
-    actor->overflow.close();
-  }
+  for (auto& actor : actors_) actor->ring->close();
   for (auto& worker : workers_) worker->park.notify();
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
@@ -230,6 +212,7 @@ void ActorSystem::run_worker(Worker& worker) {
   // Whether the sweep before the current one processed anything.
   bool was_busy = false;
   for (;;) {
+    const bool waiting = !worker.held.empty() && flush_held(worker);
     bool did_work = false;
     for (const NodeId v : worker.actors) {
       did_work |= drain_actor(worker, *actors_[v]);
@@ -242,35 +225,31 @@ void ActorSystem::run_worker(Worker& worker) {
     if (stopping_.load(std::memory_order_acquire) && !worker_has_work(worker)) {
       return;
     }
+    if (waiting) {
+      // A due frame waits on a full ring: retry after a yield, since no
+      // notify announces that the ring has room again.
+      std::this_thread::yield();
+      continue;
+    }
     // Spin only when a busy spell just ended: the next frame is then
     // likely microseconds away. A wake that finds nothing to do (the
     // backstop's) parks again at once.
-    poll_then_park(worker.park, ready, spin);
+    poll_then_park(worker.park, ready, spin,
+                   worker.held.empty() ? Clock::time_point::max()
+                                       : worker.held.begin()->first);
   }
 }
 
 bool ActorSystem::worker_has_work(const Worker& worker) const {
   for (const NodeId v : worker.actors) {
-    const NodeActor& actor = *actors_[v];
-    if (actor.ring->has_ready() ||
-        actor.overflow_nonempty.load(std::memory_order_acquire)) {
-      return true;
-    }
+    if (actors_[v]->ring->has_ready()) return true;
   }
   return false;
 }
 
 ARVY_HOT bool ActorSystem::drain_actor(Worker& worker, NodeActor& actor) {
-  bool any = false;
-  if (actor.overflow_nonempty.load(std::memory_order_acquire)) {
-    // Clear before draining: a spill racing this drain re-sets the flag and
-    // is picked up on the next sweep at worst.
-    actor.overflow_nonempty.store(false, std::memory_order_relaxed);
-    drain_overflow(actor);
-    any = true;
-  }
   const std::size_t batch = actor.ring->acquire_batch(options_.batch_size);
-  if (batch == 0) return any;
+  if (batch == 0) return false;
   if (options_.reorder_mailboxes) {
     // Fisher-Yates over the batch with the actor's own RNG: the threaded
     // analogue of the simulator's kRandom discipline, now scoped to a batch
@@ -385,7 +364,7 @@ ARVY_HOT void ActorSystem::enqueue_protocol(const NodeActor& from,
   });
   if (result == PushResult::kFull) {
     // Never spin on a peer's full ring: this thread may be its drainer.
-    overflow_send(peer, box(send, from.scratch_find, dedup));
+    hold(from, send, dedup, Clock::now());
     return;
   }
   if (result == PushResult::kOk) peer.owner->park.notify();
@@ -393,34 +372,45 @@ ARVY_HOT void ActorSystem::enqueue_protocol(const NodeActor& from,
   // of the teardown's accepted loss, not a contract violation.
 }
 
-void ActorSystem::enqueue_frame(NodeId to, Frame&& frame) {
-  NodeActor& peer = *actors_[to];
-  const PushResult result = peer.ring->try_push([&](std::byte* slot) {
-    std::memcpy(slot, frame.data(), frame.size());
-  });
-  if (result == PushResult::kFull) {
-    overflow_send(peer, std::move(frame));
-    return;
-  }
-  if (result == PushResult::kOk) peer.owner->park.notify();
+void ActorSystem::hold(const NodeActor& from, const proto::Effects& send,
+                       std::uint64_t dedup, Clock::time_point due) {
+  std::vector<std::byte> frame(proto::wire::envelope_bytes(
+      send.send == proto::Effects::Send::kFind
+          ? from.scratch_find.visited.size()
+          : 0));
+  (void)encode_send(send, from.scratch_find, dedup, frame.data());
+  // The caller runs on from's owner worker, the only one touching its list.
+  from.owner->held.emplace(due, Held{send.to, std::move(frame)});
 }
 
-void ActorSystem::overflow_send(NodeActor& peer, Frame&& frame) {
-  if (!peer.overflow.try_push(std::move(frame))) return;  // accepted loss
-  // The flag is part of the owner's park condition, so the notify's fence
-  // covers it exactly like a ring publish.
-  peer.overflow_nonempty.store(true, std::memory_order_release);
-  peer.owner->park.notify();
+bool ActorSystem::flush_held(Worker& worker) {
+  const Clock::time_point now = Clock::now();
+  bool waiting = false;
+  auto it = worker.held.begin();
+  while (it != worker.held.end() && it->first <= now) {
+    NodeActor& peer = *actors_[it->second.to];
+    const std::vector<std::byte>& frame = it->second.frame;
+    const PushResult result = peer.ring->try_push([&](std::byte* slot) {
+      std::memcpy(slot, frame.data(), frame.size());
+    });
+    if (result == PushResult::kFull) {
+      waiting = true;
+      ++it;
+      continue;
+    }
+    if (result == PushResult::kOk) peer.owner->park.notify();
+    it = worker.held.erase(it);  // pushed, or dropped at a closed ring
+  }
+  return waiting;
 }
 
 bool ActorSystem::first_arrival(NodeActor& actor, std::uint64_t dedup) {
-  return actor.handled_dups.insert(dedup).second;
-}
-
-void ActorSystem::drain_overflow(NodeActor& actor) {
-  while (auto frame = actor.overflow.try_pop()) {
-    process_frame(actor, frame->data());
-  }
+  // A group has exactly two copies (see send_with_faults): the first to
+  // arrive records it and is delivered, the second retires it and is
+  // suppressed, so the set holds only groups with a copy still in flight.
+  if (actor.handled_dups.insert(dedup).second) return true;
+  actor.handled_dups.erase(dedup);
+  return false;
 }
 
 // --- fault path (cold) ------------------------------------------------------
@@ -443,32 +433,24 @@ void ActorSystem::send_with_faults(const NodeActor& from,
     verdict = injector_->on_send(kind, send.to, fault_now(), distance);
   }
   if (verdict.lost) return;  // permanently lost: retries exhausted/disabled
+  // One extra copy at most, so a dedup group has exactly two copies, which
+  // first_arrival relies on.
+  ARVY_ASSERT(verdict.duplicates <= 1);
   const std::uint64_t dedup =
       verdict.duplicates > 0
           ? next_dedup_.fetch_add(1, std::memory_order_relaxed)
           : 0;
   const auto unit = options_.fault_time_unit;
-  // Duplicate copies are staggered by the link's transit time so they arrive
-  // as genuine reorder hazards, not back-to-back ring neighbours.
-  for (std::uint32_t i = 0; i < verdict.duplicates; ++i) {
-    delayed_.push(Deferred{send.to, box(send, from.scratch_find, dedup)},
-                  deadline_after(unit * (i + 1.0) * std::max(distance, 1.0)));
+  // The copy is staggered by the link's transit time so it arrives as a
+  // genuine reorder hazard, not a back-to-back ring neighbour.
+  if (verdict.duplicates > 0) {
+    hold(from, send, dedup, deadline_after(unit * std::max(distance, 1.0)));
   }
   if (verdict.extra_delay > 0.0) {
-    delayed_.push(Deferred{send.to, box(send, from.scratch_find, dedup)},
-                  deadline_after(unit * verdict.extra_delay));
+    hold(from, send, dedup, deadline_after(unit * verdict.extra_delay));
     return;
   }
   enqueue_protocol(from, send, dedup);
-}
-
-void ActorSystem::run_nurse() {
-  // Single consumer of the delayed queue: re-drives deferred frames into
-  // their target ring once due. The queue closes strictly before the rings
-  // do (see shutdown), and enqueue_frame tolerates a closed ring anyway.
-  while (auto deferred = delayed_.pop_due()) {
-    enqueue_frame(deferred->to, std::move(deferred->frame));
-  }
 }
 
 }  // namespace arvy::runtime

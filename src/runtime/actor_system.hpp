@@ -17,10 +17,11 @@
 //   -> release_batch. A message costs no allocation: each actor builds and
 //   re-addresses every find it sends in one scratch FindMessage reserved to
 //   n entries (Theorem 4 bounds a history by n), and the core's one send is
-//   encoded from there. Cold paths box a copy of the envelope bytes: a full
-//   ring overflows into the actor's boxed Mailbox (the overflow valve - a
-//   worker must never block on a ring it drains itself), and the fault
-//   nurse re-drives deferred deliveries the same way.
+//   encoded from there. The cold path boxes a copy of the envelope bytes: a
+//   send that cannot enter its ring yet - the peer's ring is full, or a
+//   fault verdict defers it - is held by the sending worker, which pushes
+//   it on a later sweep once it is due (a worker must never block on a ring
+//   it may drain itself).
 //
 // Threading contract (checked under ThreadSanitizer by the tier-1 suite):
 //  - each core is touched only by the worker that owns its actor; the pool
@@ -35,19 +36,20 @@
 //    the ring publish of the message they charge for, so any observer that
 //    saw the message's consequences sees the charge;
 //  - every wait is a runtime::EventCount (runtime/event_count.hpp): each
-//    worker parks on its own with a 2 ms backstop, and producers notify it
-//    after each ring publish; wait_for_satisfied_for waits on the system's
+//    worker parks on its own with a 2 ms backstop, or until its earliest
+//    held frame is due, and producers notify it after each ring publish;
+//    a worker whose due frame waits on a full ring yields instead of
+//    parking; wait_for_satisfied_for waits on the system's
 //    progress EventCount. The satisfied count is one single-writer counter
 //    per worker, stored with release and summed with acquire loads, so a
 //    waiter that sees its target also sees every write sequenced before the
 //    satisfactions it counted - the cost charges included;
 //  - a wait may poll first (runtime::spin_until for kSpinBeforePark), and
-//    does so only when the pool's threads, the nurse (if faults are on) and
-//    one caller fit in the CPUs the process may run on, decided once at
-//    construction. A worker polls once when a productive sweep is followed
-//    by an empty one, never after a wake that found nothing (a backstop
-//    wake parks again at once); wait_for_satisfied_for polls before every
-//    park. The polled predicates read the same atomics the park re-checks,
+//    does so only when the pool's threads and one caller fit in the CPUs
+//    the process may run on, decided once at construction. A worker polls
+//    once when a productive sweep is followed by an empty one, never after
+//    a wake that found nothing (a backstop wake parks again at once);
+//    wait_for_satisfied_for polls before every park. The polled predicates read the same atomics the park re-checks,
 //    so the poll adds no ordering of its own;
 //  - request/wait_for_satisfied_for/satisfied_count may be called from any
 //    thread; shutdown() must not race with request() (push-after-close
@@ -57,17 +59,16 @@
 // Fault injection (Options::faults): the same faults::FaultInjector the
 // simulator uses, serialized behind its own mutex, decides each send's fate.
 // Deferred deliveries (retransmission backoff, pauses, storms, duplicate
-// staggering) park in a DelayedQueue drained by one nurse thread; sim-time
+// staggering) are held by the sending worker until their deadline; sim-time
 // units scale to wall time via Options::fault_time_unit. Duplicate copies
 // carry a dedup id and are discarded by the receiving actor if the group was
-// already handled (at-least-once wire, exactly-once protocol core).
-// Shutdown closes and joins the nurse BEFORE closing rings, so deferred
-// items never hit a closed ring; items still pending in the delayed
-// queue at shutdown are discarded.
+// already handled (at-least-once wire, exactly-once protocol core). Frames
+// still held at shutdown are discarded.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -83,9 +84,7 @@
 #include "proto/options.hpp"
 #include "proto/policies.hpp"
 #include "proto/wire.hpp"
-#include "runtime/delayed_queue.hpp"
 #include "runtime/event_count.hpp"
-#include "runtime/mailbox.hpp"
 #include "runtime/ring_mailbox.hpp"
 #include "support/hot.hpp"
 #include "support/lock_rank.hpp"
@@ -143,7 +142,8 @@ class ActorSystem {
   [[nodiscard]] faults::FaultStats fault_stats() const;
 
   // Stops all worker threads. Callers should wait_for_satisfied_for first so
-  // the network is quiescent; pending ring/overflow items are still drained.
+  // the network is quiescent; frames already in a ring are still drained,
+  // frames still held by a worker are dropped.
   void shutdown();
 
   // Post-shutdown inspection (threads joined, single-threaded again).
@@ -153,13 +153,13 @@ class ActorSystem {
   }
 
  private:
-  // Boxed copy of one ring envelope (the bytes a slot would hold), for the
-  // COLD paths only: the overflow valve and the delayed queue.
-  using Frame = std::vector<std::byte>;
+  using Clock = EventCount::Clock;
 
-  struct Deferred {
+  // Boxed copy of one ring envelope (the bytes a slot would hold) that its
+  // sender's worker holds until it can enter the destination's ring.
+  struct Held {
     NodeId to = graph::kInvalidNode;
-    Frame frame;
+    std::vector<std::byte> frame;
   };
 
   // One drain-side thread; producers notify `park` after publishing to
@@ -171,6 +171,11 @@ class ActorSystem {
     // Requests this worker's actors satisfied (see satisfied_count).
     std::atomic<std::uint64_t> satisfied{0};  // ARVY-ATOMIC(single-writer)
     std::vector<std::uint32_t> shuffle;  // reorder_mailboxes batch scratch
+    // Frames this worker's actors sent that are not in a ring yet, by due
+    // time (FIFO among equal ones): a full peer ring holds a frame due at
+    // once, a fault verdict one due at its deadline. Only this worker
+    // touches it.
+    std::multimap<Clock::time_point, Held> held;
   };
 
   struct NodeActor {
@@ -182,19 +187,15 @@ class ActorSystem {
     // own words, so no two actors' cores share storage.
     proto::NodeCell cell;
     std::unique_ptr<proto::ArvyCore> core;
-    // Hot channel: bounded ring of flat wire envelopes.
+    // Bounded ring of flat wire envelopes.
     std::optional<RingMailbox> ring;
-    // Cold overflow valve: a worker that finds a peer's ring full must not
-    // spin (it might BE that ring's drainer), so the frame falls back to a
-    // boxed Mailbox, flagged here and drained before the next batch.
-    Mailbox<Frame> overflow;
-    std::atomic<bool> overflow_nonempty{false};  // ARVY-ATOMIC(flag)
     support::Rng jitter_rng{0};
     // Every find this actor receives is decoded into, and every find it
     // sends is built or re-addressed in, this scratch. visited is reserved
     // to the node count up front, so neither ever reallocates.
     proto::FindMessage scratch_find;
-    // Dedup groups already handled; touched only by the owner worker.
+    // Dedup groups whose first copy arrived and whose second has not;
+    // touched only by the owner worker.
     std::unordered_set<std::uint64_t> handled_dups;
     // Cost accounting for messages SENT by this actor. Single writer (the
     // owner worker), so load+store with relaxed ordering is exact; readers
@@ -206,35 +207,35 @@ class ActorSystem {
   };
 
   void run_worker(Worker& worker);
-  void run_nurse();
-  // Drains up to batch_size ready ring slots (plus any overflow spill) of
-  // one actor. Returns whether anything was processed.
+  // Drains up to batch_size ready ring slots of one actor. Returns whether
+  // anything was processed.
   bool drain_actor(Worker& worker, NodeActor& actor);
-  // Decodes and dispatches one envelope (a ring slot or a boxed frame) on
-  // the owner worker.
+  // Decodes and dispatches one ring envelope on the owner worker.
   void process_frame(NodeActor& actor, const std::byte* slot);
   // Counts a satisfaction and sends the event's at most one message; a find
   // is read from the actor's scratch.
   void deliver_effects(NodeActor& from, const proto::Effects& effects);
-  // Hot enqueue of `from`'s send into the destination's ring; spills to the
-  // overflow valve when full, drops (accepted loss) when closed.
+  // Hot enqueue of `from`'s send into the destination's ring; holds it on
+  // the sending worker when full, drops it (accepted loss) when closed.
   void enqueue_protocol(const NodeActor& from, const proto::Effects& send,
                         std::uint64_t dedup);
-  // Cold twin of enqueue_protocol for a boxed frame (the nurse).
-  void enqueue_frame(NodeId to, Frame&& frame);
-  // Cold overflow spill, out of line so enqueue stays hot-clean. ARVY_COLD
-  // keeps it (and the std:: machinery it drags in) out of the callers'
-  // .text.hot sections, so the binary audit sees the hot/cold boundary
-  // exactly where the design puts it (see support/hot.hpp).
-  ARVY_COLD void overflow_send(NodeActor& peer, Frame&& frame);
+  // Boxes `from`'s send on its owner worker until `due`. ARVY_COLD keeps it
+  // (and the std:: machinery it drags in) out of the callers' .text.hot
+  // sections, so the binary audit sees the hot/cold boundary exactly where
+  // the design puts it (see support/hot.hpp).
+  ARVY_COLD void hold(const NodeActor& from, const proto::Effects& send,
+                      std::uint64_t dedup, Clock::time_point due);
+  // Pushes every due frame `worker` holds whose ring has room and drops
+  // those whose ring is closed. Returns whether a due frame still waits on
+  // a full ring.
+  ARVY_COLD bool flush_held(Worker& worker);
   [[nodiscard]] bool worker_has_work(const Worker& worker) const;
   // First-arrival check for a duplicated send's dedup group (cold: the
   // hash-table insert may rehash, i.e. allocate).
   ARVY_COLD [[nodiscard]] bool first_arrival(NodeActor& actor,
                                              std::uint64_t dedup);
-  ARVY_COLD void drain_overflow(NodeActor& actor);
   // Routes `from`'s send through the fault injector (which must be active):
-  // drops it, defers a boxed copy, and/or fans out duplicate copies.
+  // drops it, holds it until its deadline, and/or holds a duplicate copy.
   ARVY_COLD void send_with_faults(const NodeActor& from,
                                   const proto::Effects& send, double distance);
   // Current fault-schedule time: wall time since construction, in sim-time
@@ -255,8 +256,6 @@ class ActorSystem {
   std::unique_ptr<faults::FaultInjector> injector_;  // guarded by faults_mutex_
   mutable support::RankedMutex faults_mutex_{support::lock_rank::kFaults,
                                              "actor-faults"};
-  DelayedQueue<Deferred> delayed_;
-  std::thread nurse_;
   std::atomic<std::uint64_t> next_dedup_{1};  // ARVY-ATOMIC(counter)
   std::chrono::steady_clock::time_point start_;
 
@@ -266,8 +265,8 @@ class ActorSystem {
   // False until shutdown() has joined every worker; the join provides the
   // happens-before edge that makes post-shutdown core inspection safe.
   std::atomic<bool> shut_down_{false};  // ARVY-ATOMIC(flag)
-  // Whether waits poll before they park (spin_fits over the workers, the
-  // nurse and one caller); set before the threads start.
+  // Whether waits poll before they park (spin_fits over the workers and
+  // one caller); set before the threads start.
   bool spin_ = false;
 };
 

@@ -38,6 +38,7 @@
 // The EventCount itself never spins.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -138,13 +139,17 @@ template <typename Ready>
 // The idle step of a worker loop (ActorSystem's workers, DirectoryService's
 // shards): when `poll` - the loop's busy spell just ended and spin_fits
 // held at construction - polls ready() for kSpinBeforePark, and if it still
-// fails parks on `park` until ready() holds or the kParkBackstop deadline.
-// Either way the loop rescans its queues next; a wake that finds nothing
-// passes poll = false, so the backstop's wakes never spin.
+// fails parks on `park` until ready() holds, the kParkBackstop deadline or
+// `wake_by` (an ActorSystem worker's earliest held frame), whichever comes
+// first. Either way the loop rescans its queues next; a wake that finds
+// nothing passes poll = false, so the backstop's wakes never spin.
 template <typename Ready>
-void poll_then_park(EventCount& park, const Ready& ready, bool poll) {
+void poll_then_park(
+    EventCount& park, const Ready& ready, bool poll,
+    EventCount::Clock::time_point wake_by = EventCount::Clock::time_point::max()) {
   if (poll && spin_until(ready, kSpinBeforePark)) return;
-  (void)park.wait_until(ready, deadline_after(kParkBackstop));
+  (void)park.wait_until(ready,
+                        std::min(deadline_after(kParkBackstop), wake_by));
 }
 
 }  // namespace arvy::runtime

@@ -1,9 +1,10 @@
 // A bounded MPSC ring buffer of fixed-stride cells: the zero-alloc mailbox
 // of the threaded runtime (roadmap item 2).
 //
-// The old Mailbox paid a mutex + condition variable + std::deque node per
-// message; this ring pays one CAS, and a hop moves the frame's cache lines
-// with its sequence word riding in the first of them. Messages cross it as
+// A mutex-guarded mailbox paid a mutex + condition variable + std::deque
+// node per message; this ring pays one CAS, and a hop moves the frame's
+// cache lines with its sequence word riding in the first of them. Messages
+// cross it as
 // flat wire-encoded frames (proto/wire.hpp), written in place by the
 // producer and read in place by the consumer, so the actor-to-actor path
 // performs no allocation at all - the slab is sized once at construction.
@@ -50,7 +51,8 @@
 // synchronization the frame needs; head_ and tail_ use relaxed ordering
 // because neither is ever used to justify reading frame bytes.
 //
-// Close protocol (preserves the old Mailbox's shutdown contract):
+// Close protocol (the shutdown contract of the mutex-guarded mailbox it
+// replaced):
 //  - close() is sticky; after it, try_push/push return kClosed/false and the
 //    frame is NOT enqueued;
 //  - the consumer keeps draining published cells after close (close drains,

@@ -25,14 +25,13 @@ namespace lock_rank {
 // The repo-wide lock hierarchy. Gaps are deliberate: new subsystems slot in
 // without renumbering. No code path nests two of these today - each lock is
 // released before the next is taken (the fault injector's verdict before
-// the delayed-queue push, the service's fault-stats copy before the
-// progress notify) - so the ranks pin the only order a future nesting may
-// use; the reverse of it is the deadlock-shaped one the check forbids.
+// the send's ring push and its park notify, the service's fault-stats copy
+// before the progress notify) - so the ranks pin the only order a future
+// nesting may use; the reverse of it is the deadlock-shaped one the check
+// forbids.
 inline constexpr std::uint32_t kStats = 100;    // DirectoryService fault stats
 inline constexpr std::uint32_t kFaults = 120;   // ActorSystem fault injector
-inline constexpr std::uint32_t kDelayed = 150;  // runtime::DelayedQueue
 inline constexpr std::uint32_t kEventCount = 160;  // runtime::EventCount waits
-inline constexpr std::uint32_t kMailbox = 200;  // overflow runtime::Mailbox
 }  // namespace lock_rank
 
 namespace detail {

@@ -3,8 +3,8 @@
 // The unit tests elsewhere check the runtime's functional behaviour; these
 // tests exist to hand TSan (and the lock-rank checker) as many genuinely
 // racy schedules as possible: many producers against one consumer on the
-// overflow Mailbox and the RingMailbox, notify/wait storms on the
-// EventCount, request storms against a full ActorSystem and a kLive
+// RingMailbox, notify/wait storms on the EventCount, request storms
+// against a full ActorSystem (tiny rings, so senders hold frames) and a kLive
 // DirectoryService, and repeated construct/storm/shutdown churn to shake
 // the join/close ordering. They assert functional outcomes too, but their
 // real assertion is "zero sanitizer reports" -- the TSan CI job runs
@@ -27,7 +27,6 @@
 #include "proto/wire.hpp"
 #include "runtime/actor_system.hpp"
 #include "runtime/event_count.hpp"
-#include "runtime/mailbox.hpp"
 #include "runtime/ring_mailbox.hpp"
 #include "service/directory_service.hpp"
 #include "support/cpu_relax.hpp"
@@ -42,51 +41,6 @@ using graph::NodeId;
 // Generous ceiling for waits: a passing run finishes in milliseconds; the
 // timeout only matters when a liveness regression would otherwise hang ctest.
 constexpr std::chrono::milliseconds kWaitCeiling{120000};
-
-TEST(MailboxStress, ManyProducersOneConsumerFifo) {
-  // The overflow valve's shape: peers push from many threads, the owner
-  // polls with try_pop. Every item must arrive exactly once, and each
-  // producer's items in push order.
-  constexpr int kProducers = 8;
-  constexpr int kItemsPerProducer = 2000;
-  constexpr int kTotal = kProducers * kItemsPerProducer;
-  runtime::Mailbox<int> box;
-
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&box, p] {
-      for (int i = 0; i < kItemsPerProducer; ++i) {
-        ASSERT_TRUE(box.try_push(p * kItemsPerProducer + i));
-      }
-    });
-  }
-
-  std::int64_t sum = 0;
-  int count = 0;
-  int reordered = 0;
-  std::vector<int> next(kProducers, 0);  // per-producer FIFO cursor
-  while (count < kTotal) {
-    const std::optional<int> item = box.try_pop();
-    if (!item) {
-      std::this_thread::yield();
-      continue;
-    }
-    const auto p = static_cast<std::size_t>(*item / kItemsPerProducer);
-    if (*item % kItemsPerProducer != next[p]) ++reordered;
-    ++next[p];
-    sum += *item;
-    ++count;
-  }
-  for (auto& t : producers) t.join();
-  box.close();
-
-  EXPECT_EQ(reordered, 0);
-  EXPECT_EQ(sum, static_cast<std::int64_t>(kTotal) * (kTotal - 1) / 2);
-  EXPECT_EQ(box.try_pop(), std::nullopt);  // nothing delivered twice
-  EXPECT_FALSE(box.try_push(-1));          // closed: refused
-  EXPECT_EQ(box.try_pop(), std::nullopt);
-}
 
 // --- RingMailbox storms -----------------------------------------------------
 //
@@ -510,14 +464,22 @@ INSTANTIATE_TEST_SUITE_P(
     cell_case_name);
 
 TEST(LockRank, NoRankedLocksHeldOutsideCriticalSections) {
-  runtime::Mailbox<int> box;
-  EXPECT_TRUE(box.try_push(1));
-  EXPECT_EQ(box.try_pop(), std::optional<int>{1});
-  EXPECT_EQ(box.try_pop(), std::nullopt);
-  box.close();
-  EXPECT_FALSE(box.try_push(2));
-  // Every Mailbox operation must fully release the ranked mutex before
+  // Every ranked critical section must fully release its mutex before
   // returning; a leak here would poison rank checks for the whole thread.
+  // An EventCount wait that sleeps to its deadline under the mutex:
+  runtime::EventCount ec;
+  EXPECT_FALSE(
+      ec.wait_until([] { return false; },
+                    runtime::deadline_after(std::chrono::milliseconds(1))));
+  EXPECT_EQ(support::detail::held_count(), 0u);
+  // The fault injector's mutex, taken by fault_stats():
+  const auto g = graph::make_ring(4);
+  auto policy = proto::make_policy(proto::PolicyKind::kIvy);
+  runtime::ActorSystem system(g, proto::ring_bridge_config(4), *policy,
+                              {.faults = {.duplicate = 0.5}, .workers = 1});
+  system.request(2);
+  ASSERT_TRUE(system.wait_for_satisfied_for(1, kWaitCeiling));
+  EXPECT_EQ(system.fault_stats().permanent_losses, 0u);
   EXPECT_EQ(support::detail::held_count(), 0u);
 }
 
@@ -792,7 +754,7 @@ void run_churn_storm(const ChurnStorm& storm) {
   Options options;
   options.seed = storm.seed;
   options.workers = 2;       // nodes share workers: cross-worker wakes
-  options.ring_capacity = 2; // minimum: nearly every burst spills overflow
+  options.ring_capacity = 2; // minimum: senders hold frames for full rings
   options.batch_size = 4;
   runtime::ActorSystem system(g, proto::ring_bridge_config(kNodes), *policy,
                               options);
@@ -836,14 +798,14 @@ void run_churn_storm(const ChurnStorm& storm) {
 TEST(ActorSystemStress, ParkWakeChurnWithTinyRings) {
   // Targets the orderings the atomic contracts keep weak on purpose: the
   // EventCount's relaxed waiter count behind its two seq_cst Dekker fences
-  // (worker park vs producer notify), the release-only overflow_nonempty
-  // flag, and the release/acquire per-worker satisfied counters. Tiny rings
-  // force overflow spills through the cold Mailbox valve, and deliberate
-  // idle gaps between volleys force real park/wake cycles instead of a
-  // saturated pipeline - exactly the schedules where a missing fence or a
-  // too-weak store would lose a wakeup (deadlock) or a frame (count
-  // mismatch). Run under TSan, this is the regression net for the
-  // contract table in docs/ARCHITECTURE.md section 6.
+  // (worker park vs producer notify) and the release/acquire per-worker
+  // satisfied counters. Tiny rings make senders hold frames and push them
+  // on a later sweep, and deliberate idle gaps between volleys force real
+  // park/wake cycles instead of a saturated pipeline - exactly the
+  // schedules where a missing fence or a too-weak store would lose a
+  // wakeup (deadlock) or a frame (count mismatch). Run under TSan, this is
+  // the regression net for the contract table in docs/ARCHITECTURE.md
+  // section 6.
   //
   // Several times the spin before a park, so the gaps always reach it.
   constexpr std::chrono::milliseconds kIdleGap{2};

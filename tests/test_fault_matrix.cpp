@@ -220,11 +220,11 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, LiveFaultMatrix,
                          testing::ValuesIn(scenarios()), scenario_name);
 
 TEST(LiveFaultStress, RetriesRacingShutdown) {
-  // Deferred retransmissions still sitting in the delayed queue while
-  // shutdown tears the system down: the nurse must be joined before any
-  // mailbox closes and pending deferrals must be discarded, not delivered
-  // into closed mailboxes. Run under TSan this doubles as a race check on
-  // the whole injector/delayed-queue/mailbox seam.
+  // Deferred retransmissions still held by their senders' workers while
+  // shutdown tears the system down: a worker must exit with frames still
+  // held, dropping them, and a due one pushed into a closed ring is
+  // dropped too. Run under TSan this doubles as a race check on the whole
+  // injector/held-frame/ring seam.
   const auto g = graph::make_ring(8);
   for (int round = 0; round < 10; ++round) {
     LiveDirectory dir(g,

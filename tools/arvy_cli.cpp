@@ -23,6 +23,7 @@
 // pause=NODE:AT:DUR stall=AT:DUR seed=S. Retry specs: backoff=Mx rto=T cap=T
 // attempts=N, or `off` to let drops become permanent losses. With --faults,
 // --verify switches to the relaxed (fault-modulo) checks automatically.
+// With --transport live, --verify checks the final node states once.
 //
 // Examples:
 //   arvy_cli run --graph ring:64 --policy bridge --requests 200
@@ -279,9 +280,29 @@ void add_fault_rows(support::Table& table, const faults::FaultStats& stats) {
                  support::Table::cell(stats.overhead_distance, 1)});
 }
 
+// Lemma 2 on the final node states of a drained, shut-down live run: no
+// message is in flight then, so the states alone are the configuration.
+// Relaxed (fault-modulo) when the run had a fault plan.
+verify::CheckResult check_final_states(const LiveDirectory& directory,
+                                       const Options& options,
+                                       const faults::FaultStats& stats) {
+  verify::Configuration cfg;
+  cfg.parent.resize(directory.node_count());
+  cfg.next.resize(directory.node_count());
+  for (NodeId v = 0; v < directory.node_count(); ++v) {
+    const proto::ArvyCore& core = directory.node(v);
+    cfg.parent[v] = core.parent();
+    cfg.next[v] = core.next();
+    if (core.holds_token()) cfg.token_at = v;
+  }
+  return options.faults.empty() ? verify::check_all(cfg)
+                                : verify::check_all_relaxed(cfg, stats);
+}
+
 // The threaded transport: requests submitted in sequence, drained by wall
-// clock. The simulator path stays the place for invariant checking and OPT
-// comparisons; this one demonstrates the same plan surviving real threads.
+// clock, and with --verify the final states checked once. The simulator
+// path stays the place for per-event checking and OPT comparisons; this
+// one demonstrates the same plan surviving real threads.
 int cmd_run_live(const Flags& flags, const graph::Graph& g,
                  const Options& options,
                  const std::vector<NodeId>& sequence) {
@@ -291,6 +312,8 @@ int cmd_run_live(const Flags& flags, const graph::Graph& g,
   const proto::CostAccount costs = directory.cost_snapshot();
   const faults::FaultStats stats = directory.fault_stats();
   directory.shutdown();
+  std::optional<verify::CheckResult> check;
+  if (flags.has("verify")) check = check_final_states(directory, options, stats);
 
   support::Table table({"metric", "value"});
   table.add_row({"transport", "live"});
@@ -306,10 +329,18 @@ int cmd_run_live(const Flags& flags, const graph::Graph& g,
   table.add_row({"token_messages", support::Table::cell(costs.token_messages)});
   table.add_row({"all_satisfied", drained ? "yes" : "NO"});
   if (!options.faults.empty()) add_fault_rows(table, stats);
+  if (check) {
+    table.add_row({"invariant_violations",
+                   support::Table::cell(std::size_t{check->ok ? 0u : 1u})});
+  }
   if (flags.has("csv")) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);
+  }
+  if (check && !check->ok) {
+    std::printf("first violation: %s\n", check->detail.c_str());
+    return 1;
   }
   return drained ? 0 : 1;
 }
